@@ -160,6 +160,8 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ProfileError("--seed must be nonnegative")
     house_counts = _resolve_house_counts(args)
+    for m in house_counts:
+        solver.require_enough_houses(args.n, m)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["n", "m", "trials", "successes", "mechanism_successes", "success_fraction", "seed"]

@@ -12,7 +12,7 @@ import math
 
 from .bigraph import BipartiteGraph, HallViolator, neighborhood
 from .prefs import PreferenceProfile
-from .solver import Assignment, InvalidInstanceError, verify_envy_free
+from .solver import Assignment, envy_free_houses, require_enough_houses, verify_envy_free
 
 ENUMERATION_LIMIT = 10_000_000
 HALL_SCAN_MAX_LEFT = 12
@@ -29,10 +29,7 @@ def enumerate_ef_assignments(profile: PreferenceProfile) -> list[Assignment]:
     m!/(m-n)! must stay within ENUMERATION_LIMIT.
     """
     n, m = profile.n_agents, profile.n_houses
-    if m < n:
-        raise InvalidInstanceError(
-            f"{n} agents need at least {n} houses, instance has {m}"
-        )
+    require_enough_houses(n, m)
     if math.perm(m, n) > ENUMERATION_LIMIT:
         raise InstanceTooLargeError(
             f"{math.perm(m, n)} candidate assignments exceed the guard of {ENUMERATION_LIMIT}"
@@ -40,19 +37,9 @@ def enumerate_ef_assignments(profile: PreferenceProfile) -> list[Assignment]:
     ranks = profile.ranks
     found = []
     for houses in itertools.permutations(range(1, m + 1), n):
-        if _envy_free(ranks, houses):
+        if envy_free_houses(ranks, houses):
             found.append(Assignment(houses))
     return found
-
-
-def _envy_free(ranks, houses) -> bool:
-    for i, own_house in enumerate(houses):
-        row = ranks[i]
-        own = row[own_house - 1]
-        for house in houses:
-            if row[house - 1] < own:
-                return False
-    return True
 
 
 def is_pareto_among_ef(profile: PreferenceProfile, candidate: Assignment) -> bool:

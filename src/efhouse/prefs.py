@@ -97,33 +97,26 @@ def _parse_ranking(raw: str, line: int, m: int) -> tuple[int, ...]:
     if not raw:
         raise ProfileError("empty ranking line", line=line)
     ranks = [0] * m
-    seen: set[int] = set()
     position = 1
     for group in raw.split(">"):
-        tokens = [t.strip() for t in group.split("=")]
-        houses: list[int] = []
+        tokens = group.split("=")
         for token in tokens:
-            if not token:
-                raise ProfileError("malformed ranking: empty entry", line=line)
             try:
-                house = int(token)
+                house = int(token)  # int() ignores surrounding whitespace
             except ValueError:
-                raise ProfileError(
-                    f"not a house id: {token!r}", line=line
-                ) from None
+                token = token.strip()
+                if not token:
+                    raise ProfileError("malformed ranking: empty entry", line=line) from None
+                raise ProfileError(f"not a house id: {token!r}", line=line) from None
             if not 1 <= house <= m:
                 raise ProfileError(f"house {house} out of range 1..{m}", line=line)
-            if house in seen:
+            if ranks[house - 1]:
                 raise ProfileError(f"house {house} listed twice", line=line)
-            seen.add(house)
-            houses.append(house)
-        # tied houses all take the rank of the group's first slot
-        for house in houses:
+            # tied houses all take the rank of the group's first slot
             ranks[house - 1] = position
-        position += len(houses)
-    if len(seen) != m:
-        missing = min(set(range(1, m + 1)) - seen)
-        raise ProfileError(f"house {missing} missing from ranking", line=line)
+        position += len(tokens)
+    if 0 in ranks:
+        raise ProfileError(f"house {ranks.index(0) + 1} missing from ranking", line=line)
     return tuple(ranks)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prefs import PreferenceProfile
-from .solver import Assignment, InvalidInstanceError, envy_free_assignment
+from .solver import Assignment, envy_free_assignment, require_enough_houses
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +146,7 @@ def estimate_existence_probability(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if m < n:
-        raise InvalidInstanceError(
-            f"{n} agents need at least {n} houses, instance has {m}"
-        )
+    require_enough_houses(n, m)
     successes = 0
     mechanism_successes = 0
     for trial in range(trials):

@@ -29,6 +29,12 @@ class InvalidInstanceError(ValueError):
     """Instance cannot admit any total injective assignment (fewer houses than agents)."""
 
 
+def require_enough_houses(n: int, m: int) -> None:
+    """Raise InvalidInstanceError unless ``m`` houses can serve ``n`` agents."""
+    if m < n:
+        raise InvalidInstanceError(f"{n} agents need at least {n} houses, instance has {m}")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Total injective map from agents to houses; ``houses[i]`` serves agent ``i + 1``."""
@@ -96,19 +102,16 @@ def envy_free_assignment(
     agents.
     """
     n, m = profile.n_agents, profile.n_houses
-    if m < n:
-        raise InvalidInstanceError(
-            f"{n} agents need at least {n} houses, instance has {m}"
-        )
+    require_enough_houses(n, m)
     available = set(range(1, m + 1))
     records: list[IterationRecord] = []
     assignment: Assignment | None = None
+    rows: list[tuple[int, ...]] = [()] * n
+    stale = range(1, n + 1)
     while len(available) >= n:
-        rows = tuple(
-            tuple(sorted(top_choices(profile, agent, available)))
-            for agent in range(1, n + 1)
-        )
-        graph = BipartiteGraph(n, m, rows)
+        for agent in stale:
+            rows[agent - 1] = tuple(sorted(top_choices(profile, agent, available)))
+        graph = BipartiteGraph(n, m, tuple(rows))
         matching = maximum_matching(graph)
         if is_saturating(matching, graph):
             by_agent = matching.left_to_right()
@@ -127,6 +130,8 @@ def envy_free_assignment(
             )
         )
         available -= removed
+        # a row that lost no house keeps its best rank, hence its members
+        stale = [agent for agent, row in enumerate(rows, start=1) if not removed.isdisjoint(row)]
     return assignment, SolveTrace(tuple(records), assignment)
 
 
@@ -138,10 +143,19 @@ def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool
         )
     if any(h > profile.n_houses for h in assignment.houses):
         raise ValueError("assignment uses a house outside the profile")
-    for agent in range(1, profile.n_agents + 1):
-        row = profile.ranks[agent - 1]
-        own = row[assignment.houses[agent - 1] - 1]
-        for house in assignment.houses:
+    return envy_free_houses(profile.ranks, assignment.houses)
+
+
+def envy_free_houses(ranks: tuple[tuple[int, ...], ...], houses: tuple[int, ...]) -> bool:
+    """The envy check behind `verify_envy_free`, on raw rank rows.
+
+    ``houses[i]`` is agent ``i + 1``'s house. Nothing is validated, so
+    enumerations that test many candidates pay only for the check itself.
+    """
+    for i, own_house in enumerate(houses):
+        row = ranks[i]
+        own = row[own_house - 1]
+        for house in houses:
             if row[house - 1] < own:
                 return False
     return True

@@ -162,8 +162,11 @@ def test_simulate_deterministic_output(capsys):
         ["simulate", "--n", "3", "--m", "5", "--sweep", "1:2:1", "--trials", "5"],
         ["simulate", "--n", "3", "--sweep", "9:3:1", "--trials", "5"],
         ["simulate", "--n", "3", "--m", "5", "--trials", "5", "--seed", "-4"],
+        ["simulate", "--n", "1", "--m", "3nlogn", "--trials", "5"],  # expands to m = 0
+        ["simulate", "--n", "5", "--sweep", "3:8:1", "--trials", "5"],  # m = 3, 4 too few
     ],
 )
 def test_simulate_rejects_bad_parameters(argv, capsys):
-    code, _, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""

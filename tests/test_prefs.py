@@ -39,27 +39,37 @@ def test_parse_ignores_whitespace_and_trailing_newlines():
     assert profile.ranks == ((1, 2, 2), (3, 2, 1))
 
 
+PARSE_ERRORS = [
+    ("", 1, "missing `n m` header"),
+    ("2", 1, "header must be two integers `n m`"),
+    ("2 x", 1, "header must be two integers `n m`"),
+    ("0 3\n1 > 2 > 3", 1, "agent and house counts must be positive"),
+    ("2 3\n1 > 2 > 3", 3, "expected rankings for 2 agents, found only 1"),
+    ("1 3\n1 > 2", 2, "house 3 missing from ranking"),
+    ("1 3\n1 > 2 > 2", 2, "house 2 listed twice"),
+    ("1 3\n1 > 2 > 4", 2, "house 4 out of range 1..3"),
+    ("1 3\n1 > > 3", 2, "malformed ranking: empty entry"),
+    ("1 3\n1 > two > 3", 2, "not a house id: 'two'"),
+    ("1 2\n1 > 2\n1 > 2", 3, "unexpected extra ranking line"),
+    ("1 3\n1 = = 3", 2, "malformed ranking: empty entry"),
+    ("1 3\n1 > 2 = 3 =", 2, "malformed ranking: empty entry"),
+    ("1 3\n1 > 2 = 2", 2, "house 2 listed twice"),
+    ("1 3\n1 = 3", 2, "house 2 missing from ranking"),
+    ("1 3\n3 = 0 > 1", 2, "house 0 out of range 1..3"),
+    ("1 3\n1 = 2 x > 3", 2, "not a house id: '2 x'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, line",
-    [
-        ("", 1),
-        ("2", 1),
-        ("2 x", 1),
-        ("0 3\n1 > 2 > 3", 1),
-        ("2 3\n1 > 2 > 3", 3),  # missing second ranking
-        ("1 3\n1 > 2", 2),  # house 3 missing
-        ("1 3\n1 > 2 > 2", 2),  # duplicate
-        ("1 3\n1 > 2 > 4", 2),  # out of range
-        ("1 3\n1 > > 3", 2),  # empty entry
-        ("1 3\n1 > two > 3", 2),  # not an id
-        ("1 2\n1 > 2\n1 > 2", 3),  # extra ranking line
-    ],
+    "text, line, message",
+    PARSE_ERRORS,
+    ids=[f"{text}-{line}" for text, line, _ in PARSE_ERRORS],
 )
-def test_parse_errors_carry_line_numbers(text, line):
+def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(ProfileError) as err:
         parse_profile(text)
     assert err.value.line == line
-    assert f"line {line}:" in str(err.value)
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_profile_rejects_ragged_ranks():

@@ -131,6 +131,36 @@ def test_trace_invariants(profile):
         assert rec.removed  # every non-terminal pass prunes something
     if m == n:
         assert len(trace.iterations) == 1
+    assert_favorites_rows_fresh(profile, trace)
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, ties",
+    [(0, 100, 200, False), (1, 150, 300, True), (2, 200, 240, False), (3, 300, 320, True)],
+)
+def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
+    make = random_tie_profile if ties else random_strict_profile
+    profile = make(random.Random(seed), n, m)
+    _, trace = envy_free_assignment(profile)
+    assert len(trace.iterations) > 10
+    assert_favorites_rows_fresh(profile, trace)
+
+
+def assert_favorites_rows_fresh(profile, trace):
+    """Each pass's favorites rows equal a from-scratch ranking, and passes chain."""
+    records = trace.iterations
+    assert records[0].available == set(range(1, profile.n_houses + 1))
+    for rec in records:
+        assert rec.graph.adj == tuple(
+            tuple(sorted(top_choices(profile, agent, rec.available)))
+            for agent in range(1, profile.n_agents + 1)
+        )
+        if rec.violator is None:
+            assert not rec.removed
+        else:
+            assert rec.removed == rec.violator.neighborhood
+    for before, after in zip(records, records[1:]):
+        assert after.available == before.available - before.removed
 
 
 def test_result_json_found_and_none():
