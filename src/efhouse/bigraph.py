@@ -1,9 +1,15 @@
-"""Bipartite matching machinery: maximum matching, saturation, deficiency certificates."""
+"""Bipartite matching machinery: maximum matching, saturation, deficiency certificates.
+
+One breadth-first alternating-tree search serves both jobs: grown from an
+unmatched left vertex, it either reaches an unmatched right vertex (an
+augmenting path for `maximum_matching`) or closes, and a closed tree under
+a maximum matching is exactly the minimal Hall violator that
+`minimal_hall_violator` returns.
+"""
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 
@@ -25,10 +31,11 @@ class BipartiteGraph:
         if len(self.adj) != self.n_left:
             raise ValueError(f"expected {self.n_left} adjacency rows, got {len(self.adj)}")
         for row in self.adj:
-            if any(not 1 <= y <= self.n_right for y in row):
-                raise ValueError(f"right vertex out of range 1..{self.n_right}")
             if list(row) != sorted(set(row)):
                 raise ValueError("adjacency rows must be sorted and duplicate-free")
+            # a sorted row is in range when its two ends are
+            if row and (row[0] < 1 or row[-1] > self.n_right):
+                raise ValueError(f"right vertex out of range 1..{self.n_right}")
 
     @classmethod
     def from_edges(
@@ -94,6 +101,32 @@ def neighborhood(graph: BipartiteGraph, subset: Iterable[int]) -> set[int]:
     return result
 
 
+def _alternating_tree(
+    graph: BipartiteGraph, start: int, owner: dict[int, int], dead: Collection[int]
+) -> tuple[tuple[int, int] | None, dict[int, tuple[int, int] | None]]:
+    """Breadth-first search of the alternating digraph from left vertex ``start``.
+
+    Steps run left to right along every edge and right to left along matched
+    edges (``owner`` maps each matched right vertex to its left partner);
+    left vertices in ``dead`` are never entered. Returns the first edge
+    ``(x, y)`` whose right end is unmatched, or None when the tree closes,
+    plus ``parents``: every reached left vertex mapped to the (left, right)
+    step that reached it, None for ``start``.
+    """
+    adj = graph.adj
+    parents: dict[int, tuple[int, int] | None] = {start: None}
+    queue = [start]
+    for x in queue:
+        for y in adj[x - 1]:
+            mate = owner.get(y)
+            if mate is None:
+                return (x, y), parents
+            if mate not in parents and mate not in dead:
+                parents[mate] = (x, y)
+                queue.append(mate)
+    return None, parents
+
+
 def maximum_matching(graph: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching via augmenting-path search.
 
@@ -101,77 +134,49 @@ def maximum_matching(graph: BipartiteGraph) -> Matching:
     scanned in sorted order, so the matched/unmatched split is the same on
     every run for a fixed graph.
     """
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    dead: set[int] = set()
     for start in range(1, graph.n_left + 1):
-        # breadth-first search for an augmenting path rooted at `start`;
-        # parents[v] = (previous left vertex, right vertex between them)
-        parents: dict[int, tuple[int, int] | None] = {start: None}
-        queue = deque([start])
-        goal: tuple[int, int] | None = None
-        while queue and goal is None:
-            x = queue.popleft()
-            for y in graph.adj[x - 1]:
-                owner = match_right.get(y)
-                if owner is None:
-                    goal = (x, y)
-                    break
-                if owner not in parents:
-                    parents[owner] = (x, y)
-                    queue.append(owner)
+        goal, parents = _alternating_tree(graph, start, owner, dead)
         if goal is None:
+            # a failed tree is closed: each right vertex it touches is matched
+            # inside it, so no later augmenting path can enter it
+            dead.update(parents)
             continue
-        x, y = goal
-        while True:
-            previous = parents[x]
-            match_left[x] = y
-            match_right[y] = x
-            if previous is None:
-                break
-            x, y = previous
-    return Matching(frozenset(match_left.items()))
+        step: tuple[int, int] | None = goal
+        while step is not None:
+            x, y = step
+            owner[y] = x
+            step = parents[x]
+    return Matching(frozenset((x, y) for y, x in owner.items()))
 
 
 def is_saturating(matching: Matching, graph: BipartiteGraph) -> bool:
     """True when every left vertex is covered by the matching."""
-    return len({x for x, _ in matching.pairs}) == graph.n_left
+    return matching.size() == graph.n_left
 
 
 def minimal_hall_violator(graph: BipartiteGraph, matching: Matching) -> HallViolator:
     """Extract a minimal deficient left set from a non-saturating maximum matching.
 
-    Starting at the lowest-indexed unmatched left vertex, walks the
-    alternating-reachability digraph (left-to-right along every edge,
-    right-to-left along matched edges) with an iterative depth-first search.
-    The left vertices reached form the violator; the right vertices reached
-    are exactly its neighborhood, returned alongside so callers need not
-    recompute it.
+    The violator is the alternating tree of the lowest-indexed unmatched
+    left vertex: the left vertices reached form the violator, and the right
+    vertices they touch, all matched inside the tree, are its neighborhood.
 
-    The matching must be a maximum matching; that is not checked here, and
-    passing anything else produces a meaningless result. A saturating
-    matching raises ValueError.
+    Raises ValueError when the matching is saturating, or when the tree
+    reaches an unmatched right vertex (the matching is not maximum).
     """
-    matched_left = {x for x, _ in matching.pairs}
     owner = matching.right_to_left()
+    matched = set(owner.values())
     seed = next(
-        (x for x in range(1, graph.n_left + 1) if x not in matched_left), None
+        (x for x in range(1, graph.n_left + 1) if x not in matched), None
     )
     if seed is None:
         raise ValueError("matching covers the whole left side; no violator exists")
-    reached_left = {seed}
-    reached_right: set[int] = set()
-    stack = [seed]
-    while stack:
-        x = stack.pop()
-        for y in graph.adj[x - 1]:
-            if y in reached_right:
-                continue
-            reached_right.add(y)
-            back = owner.get(y)
-            if back is not None and back not in reached_left:
-                reached_left.add(back)
-                stack.append(back)
-    return HallViolator(frozenset(reached_left), frozenset(reached_right))
+    goal, parents = _alternating_tree(graph, seed, owner, ())
+    if goal is not None:
+        raise ValueError("matching is not maximum: an augmenting path exists")
+    return HallViolator(frozenset(parents), frozenset(neighborhood(graph, parents)))
 
 
 def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str:

@@ -69,13 +69,7 @@ def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one house")
     rng = _generator(seed)
-    rows = []
-    for _ in range(n):
-        order = rng.permutation(m)  # order[k] = 0-based house preferred k-th
-        ranks = np.empty(m, dtype=np.int64)
-        ranks[order] = np.arange(1, m + 1)
-        rows.append(tuple(int(r) for r in ranks))
-    return PreferenceProfile(n, m, tuple(rows))
+    return _profile_from_orders(np.stack([rng.permutation(m) for _ in range(n)]))
 
 
 def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
@@ -91,16 +85,15 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     Exact utility ties have probability zero under any non-atomic draw; if
     they occur anyway they break toward the lower house id.
     """
-    values = utilities.values
-    n, m = values.shape
-    positions = np.arange(1, m + 1)
-    rows = []
-    for i in range(n):
-        order = np.argsort(-values[i], kind="stable")
-        ranks = np.empty(m, dtype=np.int64)
-        ranks[order] = positions
-        rows.append(tuple(int(r) for r in ranks))
-    return PreferenceProfile(n, m, tuple(rows))
+    return _profile_from_orders(np.argsort(-utilities.values, axis=1, kind="stable"))
+
+
+def _profile_from_orders(orders: np.ndarray) -> PreferenceProfile:
+    """Profile whose agent ``i`` prefers house ``orders[i, k] + 1`` k-th."""
+    n, m = orders.shape
+    ranks = np.empty((n, m), dtype=np.int64)
+    np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
+    return PreferenceProfile(n, m, tuple(map(tuple, ranks.tolist())))
 
 
 def threshold_mechanism(utilities: UtilityMatrix) -> Assignment | None:

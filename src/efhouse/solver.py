@@ -103,7 +103,7 @@ def envy_free_assignment(
     """
     n, m = profile.n_agents, profile.n_houses
     require_enough_houses(n, m)
-    available = set(range(1, m + 1))
+    available = frozenset(range(1, m + 1))
     records: list[IterationRecord] = []
     assignment: Assignment | None = None
     rows: list[tuple[int, ...]] = [()] * n
@@ -116,20 +116,12 @@ def envy_free_assignment(
         if is_saturating(matching, graph):
             by_agent = matching.left_to_right()
             assignment = Assignment(tuple(by_agent[a] for a in range(1, n + 1)))
-            records.append(
-                IterationRecord(
-                    frozenset(available), graph, matching, True, None, frozenset()
-                )
-            )
+            records.append(IterationRecord(available, graph, matching, True, None, frozenset()))
             break
         violator = minimal_hall_violator(graph, matching)
         removed = violator.neighborhood
-        records.append(
-            IterationRecord(
-                frozenset(available), graph, matching, False, violator, removed
-            )
-        )
-        available -= removed
+        records.append(IterationRecord(available, graph, matching, False, violator, removed))
+        available = available - removed
         # a row that lost no house keeps its best rank, hence its members
         stale = [agent for agent, row in enumerate(rows, start=1) if not removed.isdisjoint(row)]
     return assignment, SolveTrace(tuple(records), assignment)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
+import numpy as np
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from efhouse.bigraph import BipartiteGraph, Matching
 from efhouse.prefs import PreferenceProfile
@@ -62,6 +66,23 @@ def random_bipartite_graph(
         if rng.random() < density
     ]
     return BipartiteGraph.from_edges(n_left, n_right, edges)
+
+
+def reference_matching_sizes(graph: BipartiteGraph) -> tuple[int, int]:
+    """Maximum matching size by scipy's csgraph and by networkx's Hopcroft-Karp."""
+    rows = [x for x, row in enumerate(graph.adj) for _ in row]
+    cols = [y - 1 for row in graph.adj for y in row]
+    biadjacency = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(graph.n_left, graph.n_right)
+    )
+    scipy_size = int((maximum_bipartite_matching(biadjacency, perm_type="column") >= 0).sum())
+    left = [("L", x) for x in range(1, graph.n_left + 1)]
+    g = nx.Graph()
+    g.add_nodes_from(left)
+    g.add_nodes_from(("R", y) for y in range(1, graph.n_right + 1))
+    g.add_edges_from((("L", x), ("R", y)) for x, row in enumerate(graph.adj, start=1) for y in row)
+    networkx_size = len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=left)) // 2
+    return scipy_size, networkx_size
 
 
 def brute_force_max_matching_size(graph: BipartiteGraph) -> int:

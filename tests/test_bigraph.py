@@ -8,6 +8,7 @@ from conftest import (
     brute_force_max_matching_size,
     has_augmenting_path,
     random_bipartite_graph,
+    reference_matching_sizes,
     violator_is_subset_minimal,
 )
 from efhouse.bigraph import (
@@ -52,6 +53,13 @@ def test_graph_validates_adjacency():
         BipartiteGraph(1, 2, ((2, 1),))  # unsorted
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, ((3,),))  # out of range
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 2, ((1, 1),))  # duplicate
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 2, ((0, 1),))  # below range
+    with pytest.raises(ValueError):
+        BipartiteGraph(1, 2, ((1, 3),))  # above range
+    assert BipartiteGraph(2, 2, ((), (1, 2))).adj == ((), (1, 2))
     with pytest.raises(ValueError):
         BipartiteGraph.from_edges(1, 2, [(1, 0)])
 
@@ -140,6 +148,12 @@ def test_minimal_violator_rejects_saturating_matching():
         minimal_hall_violator(g, maximum_matching(g))
 
 
+def test_minimal_violator_rejects_non_maximum_matching():
+    g = graph(2, 1, [(1, 1), (2, 1)])
+    with pytest.raises(ValueError, match="^matching is not maximum: an augmenting path exists$"):
+        minimal_hall_violator(g, Matching(frozenset()))
+
+
 def test_minimal_violator_seed_is_lowest_unmatched():
     # vertices 1 and 3 compete for the single right vertex; 2 is isolated
     g = graph(3, 1, [(1, 1), (3, 1)])
@@ -164,6 +178,19 @@ def test_random_violators_satisfy_all_invariants():
         assert violator_is_subset_minimal(g, violator.vertices)
         assert violator.vertices in [v.vertices for v in brute_force_hall_check(g)]
         checked += 1
+
+
+def test_maximum_matching_size_matches_scipy_and_networkx():
+    rng = random.Random(99)
+    for _ in range(300):
+        n_left, n_right = rng.randint(1, 60), rng.randint(1, 60)
+        g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.01, 0.2))
+        matching = maximum_matching(g)
+        assert reference_matching_sizes(g) == (matching.size(), matching.size())
+        if not is_saturating(matching, g):
+            violator = minimal_hall_violator(g, matching)
+            assert len(violator.vertices) == len(violator.neighborhood) + 1
+            assert violator.neighborhood == neighborhood(g, violator.vertices)
 
 
 @settings(max_examples=120)

@@ -57,6 +57,18 @@ def test_ascending_utilities_reverse_house_order():
     assert profile.ranks == ((4, 3, 2, 1),)
 
 
+def test_utilities_to_profile_matches_per_row_sort():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, m = rng.integers(1, 12, size=2)
+        values = np.round(rng.random((n, m)), 1)  # exact ties break toward the lower id
+        expected = []
+        for row in values:
+            order = sorted(range(m), key=lambda h: (-row[h], h))
+            expected.append(tuple(order.index(h) + 1 for h in range(m)))
+        assert utilities_to_profile(UtilityMatrix(values)).ranks == tuple(expected)
+
+
 def test_utility_path_matches_uniform_ranking_distribution():
     # rankings induced by uniform utilities should be uniform over all 3! orders
     profile = utilities_to_profile(sample_utilities(30000, 3, seed=77))

@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import profile_from_orders, random_strict_profile, random_tie_profile, tie_profiles
+from conftest import (
+    profile_from_orders,
+    random_strict_profile,
+    random_tie_profile,
+    reference_matching_sizes,
+    tie_profiles,
+)
+from efhouse.bigraph import neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import parse_profile, top_choices
 from efhouse.solver import (
@@ -144,6 +151,13 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
     _, trace = envy_free_assignment(profile)
     assert len(trace.iterations) > 10
     assert_favorites_rows_fresh(profile, trace)
+    for rec in trace.iterations:
+        size = rec.matching.size()
+        assert reference_matching_sizes(rec.graph) == (size, size)
+        if rec.violator is not None:
+            S, N = rec.violator.vertices, rec.violator.neighborhood
+            assert len(S) == len(N) + 1
+            assert N == neighborhood(rec.graph, S)
 
 
 def assert_favorites_rows_fresh(profile, trace):
