@@ -5,9 +5,8 @@ from .bigraph import (
     HallViolator,
     Matching,
     format_alternating_digraph,
-    is_saturating,
+    hall_violator,
     maximum_matching,
-    minimal_hall_violator,
     neighborhood,
 )
 from .oracle import (
@@ -64,10 +63,9 @@ __all__ = [
     "estimate_existence_probability",
     "format_alternating_digraph",
     "format_profile",
+    "hall_violator",
     "is_pareto_among_ef",
-    "is_saturating",
     "maximum_matching",
-    "minimal_hall_violator",
     "neighborhood",
     "parse_profile",
     "result_json",

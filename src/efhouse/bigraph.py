@@ -1,15 +1,15 @@
-"""Bipartite matching machinery: maximum matching, saturation, deficiency certificates.
+"""Bipartite matching machinery: maximum matching and deficiency certificates.
 
-One breadth-first alternating-tree search serves both jobs: grown from an
-unmatched left vertex, it either reaches an unmatched right vertex (an
-augmenting path for `maximum_matching`) or closes, and a closed tree under
-a maximum matching is exactly the minimal Hall violator that
-`minimal_hall_violator` returns.
+One in-order augmenting loop serves both jobs: each breadth-first
+alternating tree grown from a new left vertex either reaches an unmatched
+right vertex (an augmenting path for `maximum_matching`) or closes, and the
+first tree that closes is the minimal Hall violator that `hall_violator`
+returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 
 
@@ -127,18 +127,21 @@ def _alternating_tree(
     return None, parents
 
 
-def maximum_matching(graph: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching via augmenting-path search.
+def _closed_trees(
+    graph: BipartiteGraph, owner: dict[int, int]
+) -> Iterator[dict[int, tuple[int, int] | None]]:
+    """Augment ``owner`` toward a maximum matching, yielding each tree that closes.
 
     Left vertices are processed in increasing index order and adjacency is
-    scanned in sorted order, so the matched/unmatched split is the same on
-    every run for a fixed graph.
+    scanned in sorted order, so every run on a fixed graph grows the same
+    matching and closes the same trees. Each yielded tree is the ``parents``
+    map of `_alternating_tree`.
     """
-    owner: dict[int, int] = {}
     dead: set[int] = set()
     for start in range(1, graph.n_left + 1):
         goal, parents = _alternating_tree(graph, start, owner, dead)
         if goal is None:
+            yield parents
             # a failed tree is closed: each right vertex it touches is matched
             # inside it, so no later augmenting path can enter it
             dead.update(parents)
@@ -148,42 +151,40 @@ def maximum_matching(graph: BipartiteGraph) -> Matching:
             x, y = step
             owner[y] = x
             step = parents[x]
+
+
+def maximum_matching(graph: BipartiteGraph) -> Matching:
+    """Maximum-cardinality matching via augmenting-path search; deterministic."""
+    owner: dict[int, int] = {}
+    for _ in _closed_trees(graph, owner):
+        pass
     return Matching(frozenset((x, y) for y, x in owner.items()))
 
 
-def is_saturating(matching: Matching, graph: BipartiteGraph) -> bool:
-    """True when every left vertex is covered by the matching."""
-    return matching.size() == graph.n_left
+def hall_violator(graph: BipartiteGraph) -> HallViolator | None:
+    """Minimal deficient left set, or None when a left-saturating matching exists.
 
-
-def minimal_hall_violator(graph: BipartiteGraph, matching: Matching) -> HallViolator:
-    """Extract a minimal deficient left set from a non-saturating maximum matching.
-
-    The violator is the alternating tree of the lowest-indexed unmatched
-    left vertex: the left vertices reached form the violator, and the right
-    vertices they touch, all matched inside the tree, are its neighborhood.
-
-    Raises ValueError when the matching is saturating, or when the tree
-    reaches an unmatched right vertex (the matching is not maximum).
+    The violator is the first alternating tree that closes, grown from the
+    lowest left vertex that `maximum_matching` leaves unmatched. The left
+    vertices it reaches form the violator; each right vertex they touch is
+    matched to a reached vertex and is the right end of the step that
+    entered it, so those steps give the neighborhood.
     """
-    owner = matching.right_to_left()
-    matched = set(owner.values())
-    seed = next(
-        (x for x in range(1, graph.n_left + 1) if x not in matched), None
+    tree = next(_closed_trees(graph, {}), None)
+    if tree is None:
+        return None
+    return HallViolator(
+        frozenset(tree), frozenset(step[1] for step in tree.values() if step is not None)
     )
-    if seed is None:
-        raise ValueError("matching covers the whole left side; no violator exists")
-    goal, parents = _alternating_tree(graph, seed, owner, ())
-    if goal is not None:
-        raise ValueError("matching is not maximum: an augmenting path exists")
-    return HallViolator(frozenset(parents), frozenset(neighborhood(graph, parents)))
 
 
 def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str:
-    """Adjacency-list dump of the digraph walked by minimal_hall_violator.
+    """Adjacency-list dump of the alternating digraph that `hall_violator` searches.
 
-    Left vertices print as ``L<i>``, right as ``R<j>``; one line per vertex
-    with outgoing edges. Intended for debugging via the CLI.
+    Edges run left to right along every graph edge and right to left along
+    the pairs of ``matching``. Left vertices print as ``L<i>``, right as
+    ``R<j>``; one line per vertex with outgoing edges. Intended for
+    debugging via the CLI.
     """
     owner = matching.right_to_left()
     lines = []

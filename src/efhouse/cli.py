@@ -73,7 +73,8 @@ def run_solve(args: argparse.Namespace) -> int:
     if args.dump_digraph:
         for index, record in enumerate(trace.iterations, start=1):
             print(f"# iteration {index} alternating digraph", file=sys.stderr)
-            print(bigraph.format_alternating_digraph(record.graph, record.matching), file=sys.stderr)
+            matching = bigraph.maximum_matching(record.graph)
+            print(bigraph.format_alternating_digraph(record.graph, matching), file=sys.stderr)
     # nonexistence always ships its trace: the removals are the certificate
     include_trace = args.trace or assignment is None
     if args.format == "json":
@@ -93,11 +94,11 @@ def _print_text_result(assignment, trace, show_trace: bool) -> None:
         for index, record in enumerate(trace.iterations, start=1):
             houses = " ".join(str(h) for h in sorted(record.available))
             print(f"iteration {index}: houses {{{houses}}}")
-            if record.saturating:
+            if record.violator is None:
                 print("  saturating matching found")
             else:
                 agents = " ".join(str(a) for a in sorted(record.violator.vertices))
-                removed = " ".join(str(h) for h in sorted(record.removed))
+                removed = " ".join(str(h) for h in sorted(record.violator.neighborhood))
                 print(f"  deficient agents {{{agents}}} force removal of houses {{{removed}}}")
 
 

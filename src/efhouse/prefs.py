@@ -78,6 +78,10 @@ def parse_profile(text: str) -> PreferenceProfile:
         raise ProfileError("header must be two integers `n m`", line=1) from None
     if n < 1 or m < 1:
         raise ProfileError("agent and house counts must be positive", line=1)
+    # a ranking lists every id, so it cannot be shorter than m characters;
+    # checked before any per-house storage is allocated
+    if m > len(text):
+        raise ProfileError(f"{m} houses cannot be listed in {len(text)} characters", line=1)
 
     rows: list[tuple[int, ...]] = []
     for line_no, raw in enumerate(lines[1:], start=2):

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .bigraph import (
-    BipartiteGraph,
-    HallViolator,
-    Matching,
-    is_saturating,
-    maximum_matching,
-    minimal_hall_violator,
-)
+from .bigraph import BipartiteGraph, HallViolator, hall_violator, maximum_matching
 from .prefs import PreferenceProfile, top_choices
 
 
@@ -65,19 +58,15 @@ class Assignment:
 class IterationRecord:
     """One pass of the solve loop.
 
-    ``available`` is the house set on offer when the pass started; ``graph``
-    and ``matching`` are the favorites graph built on it and its maximum
-    matching. When the matching is not saturating, ``violator`` holds the
-    minimal deficient agent set and ``removed`` the houses pruned (its
-    neighborhood); both are empty/None on the final, saturating pass.
+    ``available`` is the house set on offer when the pass started and
+    ``graph`` the favorites graph built on it. ``violator`` is the
+    `hall_violator` of that graph, whose neighborhood the pass removed, or
+    None on the final, saturating pass.
     """
 
     available: frozenset[int]
     graph: BipartiteGraph
-    matching: Matching
-    saturating: bool
     violator: HallViolator | None
-    removed: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -112,15 +101,13 @@ def envy_free_assignment(
         for agent in stale:
             rows[agent - 1] = tuple(sorted(top_choices(profile, agent, available)))
         graph = BipartiteGraph(n, m, tuple(rows))
-        matching = maximum_matching(graph)
-        if is_saturating(matching, graph):
-            by_agent = matching.left_to_right()
+        violator = hall_violator(graph)
+        records.append(IterationRecord(available, graph, violator))
+        if violator is None:
+            by_agent = maximum_matching(graph).left_to_right()
             assignment = Assignment(tuple(by_agent[a] for a in range(1, n + 1)))
-            records.append(IterationRecord(available, graph, matching, True, None, frozenset()))
             break
-        violator = minimal_hall_violator(graph, matching)
         removed = violator.neighborhood
-        records.append(IterationRecord(available, graph, matching, False, violator, removed))
         available = available - removed
         # a row that lost no house keeps its best rank, hence its members
         stale = [agent for agent, row in enumerate(rows, start=1) if not removed.isdisjoint(row)]
@@ -174,7 +161,7 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
         out["trace"] = [
             {
                 "houses": sorted(rec.available),
-                "saturating": rec.saturating,
+                "saturating": rec.violator is None,
                 "violator": (
                     None
                     if rec.violator is None
@@ -183,7 +170,7 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
                         "houses": sorted(rec.violator.neighborhood),
                     }
                 ),
-                "removed": sorted(rec.removed),
+                "removed": [] if rec.violator is None else sorted(rec.violator.neighborhood),
             }
             for rec in trace.iterations
         ]

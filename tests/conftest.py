@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from efhouse.bigraph import BipartiteGraph, Matching
+from efhouse.bigraph import BipartiteGraph, Matching, maximum_matching
 from efhouse.prefs import PreferenceProfile
 
 
@@ -120,6 +120,30 @@ def has_augmenting_path(graph: BipartiteGraph, matching: Matching) -> bool:
                     return True
                 stack.append(back)
     return False
+
+
+def alternating_reach(graph: BipartiteGraph) -> set[int] | None:
+    """Left vertices alternating paths reach from the lowest unmatched left vertex.
+
+    The matching is `maximum_matching(graph)`; None when it covers every left
+    vertex. The walk reads only `graph.adj` and the matching's pairs, so it
+    pins the violator independently of the library's tree search.
+    """
+    owner = maximum_matching(graph).right_to_left()
+    matched = set(owner.values())
+    start = next((x for x in range(1, graph.n_left + 1) if x not in matched), None)
+    if start is None:
+        return None
+    reached = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in graph.adj[x - 1]:
+            assert y in owner, "augmenting path: the matching is not maximum"
+            if owner[y] not in reached:
+                reached.add(owner[y])
+                stack.append(owner[y])
+    return reached
 
 
 def violator_is_subset_minimal(graph: BipartiteGraph, vertices: frozenset[int]) -> bool:

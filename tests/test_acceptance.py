@@ -6,13 +6,17 @@ PASS line per criterion.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import efhouse
 
 from conftest import profile_from_orders, random_bipartite_graph, random_tie_profile, violator_is_subset_minimal
-from efhouse.bigraph import is_saturating, maximum_matching, minimal_hall_violator, neighborhood
+from efhouse.bigraph import hall_violator, maximum_matching, neighborhood
 from efhouse.oracle import brute_force_hall_check, enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import PreferenceProfile, parse_profile
 from efhouse.randmodel import estimate_existence_probability
@@ -99,10 +103,10 @@ def test_criterion_4_hall_violator_certification():
         n_left = rng.randint(1, 10)
         n_right = rng.randint(1, 10)
         graph = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.05, 0.7))
-        matching = maximum_matching(graph)
-        if is_saturating(matching, graph):
+        violator = hall_violator(graph)
+        assert (violator is None) == (maximum_matching(graph).size() == graph.n_left)
+        if violator is None:
             continue
-        violator = minimal_hall_violator(graph, matching)
         assert len(violator.vertices) == len(violator.neighborhood) + 1
         assert violator.neighborhood == neighborhood(graph, violator.vertices)
         assert violator_is_subset_minimal(graph, violator.vertices)
@@ -176,10 +180,14 @@ def test_criterion_7_success_fraction_monotone_in_houses():
 def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
     instance = tmp_path / "golden.txt"
     instance.write_text(GOLDEN_TEXT)
+    # the runs import the efhouse this test imported, whether installed or not
+    package_root = str(Path(efhouse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
 
     solve_cmd = [sys.executable, "-m", "efhouse", "solve", str(instance), "--trace"]
     solve_runs = [
-        subprocess.run(solve_cmd, capture_output=True, check=True).stdout
+        subprocess.run(solve_cmd, capture_output=True, check=True, env=env).stdout
         for _ in range(2)
     ]
     assert solve_runs[0] == solve_runs[1]
@@ -190,7 +198,7 @@ def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
         "--n", "5", "--sweep", "5:15:5", "--trials", "200", "--seed", "88",
     ]
     simulate_runs = [
-        subprocess.run(simulate_cmd, capture_output=True, check=True).stdout
+        subprocess.run(simulate_cmd, capture_output=True, check=True, env=env).stdout
         for _ in range(2)
     ]
     assert simulate_runs[0] == simulate_runs[1]

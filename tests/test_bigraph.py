@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    alternating_reach,
     bipartite_graphs,
     brute_force_max_matching_size,
     has_augmenting_path,
@@ -15,9 +16,8 @@ from efhouse.bigraph import (
     BipartiteGraph,
     Matching,
     format_alternating_digraph,
-    is_saturating,
+    hall_violator,
     maximum_matching,
-    minimal_hall_violator,
     neighborhood,
 )
 from efhouse.oracle import brute_force_hall_check
@@ -104,31 +104,25 @@ def test_maximum_matching_has_no_augmenting_path(g):
 
 def test_is_saturating_perfect_matching():
     g = graph(3, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
-    assert is_saturating(maximum_matching(g), g)
+    assert hall_violator(g) is None
 
 
 def test_is_saturating_false_by_pigeonhole():
     g = graph(3, 2, [(x, y) for x in (1, 2, 3) for y in (1, 2)])
-    assert not is_saturating(maximum_matching(g), g)
-
-
-def test_is_saturating_partial_matching():
-    g = graph(2, 2, [(1, 1), (2, 2)])
-    assert not is_saturating(Matching(frozenset({(1, 1)})), g)
+    assert hall_violator(g) is not None
 
 
 def test_minimal_violator_smallest_case():
     g = graph(2, 1, [(1, 1), (2, 1)])
-    violator = minimal_hall_violator(g, Matching(frozenset({(1, 1)})))
+    violator = hall_violator(g)
     assert violator.vertices == {1, 2}
     assert violator.neighborhood == {1}
 
 
 def test_minimal_violator_three_agent_chain():
     g = graph(3, 2, [(1, 1), (2, 1), (2, 2), (3, 2)])
-    matching = maximum_matching(g)
-    assert matching.left_to_right() == {1: 1, 2: 2}
-    violator = minimal_hall_violator(g, matching)
+    assert maximum_matching(g).left_to_right() == {1: 1, 2: 2}
+    violator = hall_violator(g)
     assert violator.vertices == {1, 2, 3}
     assert violator.neighborhood == {1, 2}
     assert violator_is_subset_minimal(g, violator.vertices)
@@ -136,30 +130,29 @@ def test_minimal_violator_three_agent_chain():
 
 def test_minimal_violator_isolated_seed():
     g = graph(2, 1, [(2, 1)])
-    matching = maximum_matching(g)
-    violator = minimal_hall_violator(g, matching)
+    violator = hall_violator(g)
     assert violator.vertices == {1}
     assert violator.neighborhood == set()
 
 
 def test_minimal_violator_rejects_saturating_matching():
     g = graph(2, 2, [(1, 1), (2, 2)])
-    with pytest.raises(ValueError):
-        minimal_hall_violator(g, maximum_matching(g))
-
-
-def test_minimal_violator_rejects_non_maximum_matching():
-    g = graph(2, 1, [(1, 1), (2, 1)])
-    with pytest.raises(ValueError, match="^matching is not maximum: an augmenting path exists$"):
-        minimal_hall_violator(g, Matching(frozenset()))
+    assert hall_violator(g) is None
 
 
 def test_minimal_violator_seed_is_lowest_unmatched():
     # vertices 1 and 3 compete for the single right vertex; 2 is isolated
     g = graph(3, 1, [(1, 1), (3, 1)])
-    matching = maximum_matching(g)
-    violator = minimal_hall_violator(g, matching)
+    violator = hall_violator(g)
     assert violator.vertices == {2}
+
+
+def test_violator_is_the_first_closed_tree_not_a_later_one():
+    # 1 and 2 share right vertex 1 and close the first tree; 3 and 4 would
+    # close a second one around right vertex 2
+    g = graph(4, 2, [(1, 1), (2, 1), (3, 2), (4, 2)])
+    assert hall_violator(g).vertices == {1, 2}
+    assert alternating_reach(g) == {1, 2}
 
 
 def test_random_violators_satisfy_all_invariants():
@@ -169,10 +162,9 @@ def test_random_violators_satisfy_all_invariants():
         n_left = rng.randint(1, 8)
         n_right = rng.randint(1, 8)
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.1, 0.6))
-        matching = maximum_matching(g)
-        if is_saturating(matching, g):
+        violator = hall_violator(g)
+        if violator is None:
             continue
-        violator = minimal_hall_violator(g, matching)
         assert len(violator.vertices) == len(violator.neighborhood) + 1
         assert violator.neighborhood == neighborhood(g, violator.vertices)
         assert violator_is_subset_minimal(g, violator.vertices)
@@ -187,8 +179,12 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.01, 0.2))
         matching = maximum_matching(g)
         assert reference_matching_sizes(g) == (matching.size(), matching.size())
-        if not is_saturating(matching, g):
-            violator = minimal_hall_violator(g, matching)
+        violator = hall_violator(g)
+        assert (violator is None) == (matching.size() == g.n_left)
+        if violator is None:
+            assert alternating_reach(g) is None
+        else:
+            assert violator.vertices == alternating_reach(g)
             assert len(violator.vertices) == len(violator.neighborhood) + 1
             assert violator.neighborhood == neighborhood(g, violator.vertices)
 
@@ -196,8 +192,8 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
 @settings(max_examples=120)
 @given(bipartite_graphs(max_left=6, max_right=6))
 def test_hall_condition_matches_saturation(g):
-    saturating = is_saturating(maximum_matching(g), g)
-    assert saturating == (not brute_force_hall_check(g))
+    saturating = maximum_matching(g).size() == g.n_left
+    assert (hall_violator(g) is None) == saturating == (not brute_force_hall_check(g))
 
 
 def test_alternating_digraph_dump():

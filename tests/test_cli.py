@@ -91,6 +91,16 @@ def test_solve_exit_two_when_houses_short(tmp_path, capsys):
     assert "houses" in err
 
 
+def test_solve_exit_two_when_header_outgrows_file(tmp_path, capsys):
+    # parsing must reject the header before it allocates per-house storage
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1000000000000\n1\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: 1000000000000 houses cannot be listed in 18 characters\n"
+
+
 def test_solve_exit_two_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.txt")
     assert code == 2

@@ -57,6 +57,7 @@ PARSE_ERRORS = [
     ("1 3\n1 = 3", 2, "house 2 missing from ranking"),
     ("1 3\n3 = 0 > 1", 2, "house 0 out of range 1..3"),
     ("1 3\n1 = 2 x > 3", 2, "not a house id: '2 x'"),
+    ("1 1000000000000\n1\n", 1, "1000000000000 houses cannot be listed in 18 characters"),
 ]
 
 
@@ -104,6 +105,13 @@ def test_top_choices_empty_available_rejected():
     profile = parse_profile(GOLDEN)
     with pytest.raises(ProfileError):
         top_choices(profile, 1, set())
+
+
+def test_top_choices_rejects_houses_out_of_range():
+    profile = parse_profile(GOLDEN)
+    for house in (0, profile.n_houses + 1):
+        with pytest.raises(ProfileError, match=f"^house {house} out of range 1..3$"):
+            top_choices(profile, 1, {2, house})
 
 
 def test_weakly_prefers_golden_agent_two():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    alternating_reach,
     profile_from_orders,
     random_strict_profile,
     random_tie_profile,
     reference_matching_sizes,
     tie_profiles,
 )
-from efhouse.bigraph import neighborhood
+from efhouse.bigraph import maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import parse_profile, top_choices
 from efhouse.solver import (
@@ -28,8 +29,8 @@ GOLDEN = parse_profile("2 3\n1 > 2 > 3\n1 > 3 > 2")
 def test_golden_instance_assignment():
     assignment, trace = envy_free_assignment(GOLDEN)
     assert assignment.mapping() == {1: 2, 2: 3}
-    assert [rec.saturating for rec in trace.iterations] == [False, True]
-    assert trace.iterations[0].removed == {1}
+    assert [rec.violator is None for rec in trace.iterations] == [False, True]
+    assert trace.iterations[0].violator.neighborhood == {1}
     assert trace.iterations[1].available == {2, 3}
 
 
@@ -130,12 +131,14 @@ def test_trace_invariants(profile):
     n, m = profile.n_agents, profile.n_houses
     _, trace = envy_free_assignment(profile)
     assert 1 <= len(trace.iterations) <= m - n + 1
-    removed_sets = [rec.removed for rec in trace.iterations]
+    removed_sets = [
+        rec.violator.neighborhood for rec in trace.iterations if rec.violator is not None
+    ]
     for i, first in enumerate(removed_sets):
         for second in removed_sets[i + 1 :]:
             assert not (first & second)
     for rec in trace.iterations[:-1]:
-        assert rec.removed  # every non-terminal pass prunes something
+        assert rec.violator.neighborhood  # every non-terminal pass prunes something
     if m == n:
         assert len(trace.iterations) == 1
     assert_favorites_rows_fresh(profile, trace)
@@ -152,10 +155,14 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
     assert len(trace.iterations) > 10
     assert_favorites_rows_fresh(profile, trace)
     for rec in trace.iterations:
-        size = rec.matching.size()
+        size = maximum_matching(rec.graph).size()
         assert reference_matching_sizes(rec.graph) == (size, size)
-        if rec.violator is not None:
+        assert (rec.violator is None) == (size == rec.graph.n_left)
+        if rec.violator is None:
+            assert alternating_reach(rec.graph) is None
+        else:
             S, N = rec.violator.vertices, rec.violator.neighborhood
+            assert S == alternating_reach(rec.graph)
             assert len(S) == len(N) + 1
             assert N == neighborhood(rec.graph, S)
 
@@ -169,12 +176,10 @@ def assert_favorites_rows_fresh(profile, trace):
             tuple(sorted(top_choices(profile, agent, rec.available)))
             for agent in range(1, profile.n_agents + 1)
         )
-        if rec.violator is None:
-            assert not rec.removed
-        else:
-            assert rec.removed == rec.violator.neighborhood
+    # only the final pass may saturate
+    assert all(rec.violator is not None for rec in records[:-1])
     for before, after in zip(records, records[1:]):
-        assert after.available == before.available - before.removed
+        assert after.available == before.available - before.violator.neighborhood
 
 
 def test_result_json_found_and_none():
