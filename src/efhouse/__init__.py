@@ -8,6 +8,7 @@ from .bigraph import (
     hall_violator,
     maximum_matching,
     neighborhood,
+    violator_or_matching,
 )
 from .oracle import (
     InstanceTooLargeError,
@@ -75,5 +76,6 @@ __all__ = [
     "top_choices",
     "utilities_to_profile",
     "verify_envy_free",
+    "violator_or_matching",
     "weakly_prefers",
 ]

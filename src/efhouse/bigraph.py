@@ -2,9 +2,9 @@
 
 One in-order augmenting loop serves both jobs: each breadth-first
 alternating tree grown from a new left vertex either reaches an unmatched
-right vertex (an augmenting path for `maximum_matching`) or closes, and the
-first tree that closes is the minimal Hall violator that `hall_violator`
-returns.
+right vertex (an augmenting path for `maximum_matching`) or closes. The
+first tree that closes is the minimal Hall violator; `violator_or_matching`
+returns it, or the left-saturating matching when no tree closes.
 """
 
 from __future__ import annotations
@@ -158,24 +158,36 @@ def maximum_matching(graph: BipartiteGraph) -> Matching:
     owner: dict[int, int] = {}
     for _ in _closed_trees(graph, owner):
         pass
+    return _matching(owner)
+
+
+def _matching(owner: dict[int, int]) -> Matching:
     return Matching(frozenset((x, y) for y, x in owner.items()))
 
 
-def hall_violator(graph: BipartiteGraph) -> HallViolator | None:
-    """Minimal deficient left set, or None when a left-saturating matching exists.
+def violator_or_matching(graph: BipartiteGraph) -> HallViolator | Matching:
+    """Minimal deficient left set, or else a left-saturating maximum matching.
 
     The violator is the first alternating tree that closes, grown from the
     lowest left vertex that `maximum_matching` leaves unmatched. The left
     vertices it reaches form the violator; each right vertex they touch is
     matched to a reached vertex and is the right end of the step that
-    entered it, so those steps give the neighborhood.
+    entered it, so those steps give the neighborhood. When no tree closes,
+    the same search has grown the matching `maximum_matching` returns.
     """
-    tree = next(_closed_trees(graph, {}), None)
+    owner: dict[int, int] = {}
+    tree = next(_closed_trees(graph, owner), None)
     if tree is None:
-        return None
+        return _matching(owner)
     return HallViolator(
         frozenset(tree), frozenset(step[1] for step in tree.values() if step is not None)
     )
+
+
+def hall_violator(graph: BipartiteGraph) -> HallViolator | None:
+    """The violator of `violator_or_matching`, or None when a left-saturating matching exists."""
+    found = violator_or_matching(graph)
+    return found if isinstance(found, HallViolator) else None
 
 
 def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str:

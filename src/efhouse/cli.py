@@ -64,7 +64,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _load_profile(path: str):
     with open(path, encoding="utf-8") as handle:
-        return parse_profile(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so the offset is absolute
+            bad = exc.object[exc.start]
+            raise ProfileError(f"not UTF-8 text: byte 0x{bad:02x} at offset {exc.start}") from None
+    return parse_profile(text)
 
 
 def run_solve(args: argparse.Namespace) -> int:

@@ -140,7 +140,12 @@ def format_profile(profile: PreferenceProfile) -> str:
 
 
 def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> set[int]:
-    """Houses in ``available`` that ``agent`` likes best (all tied at the best rank)."""
+    """Houses in ``available`` that ``agent`` likes best (all tied at the best rank).
+
+    The validating reference for favorites: the agent and every house are
+    range-checked. The solve loop does not call it; it takes the minimum of
+    a masked rank row instead, and the tests compare the two.
+    """
     profile._check_agent(agent)
     if not available:
         raise ProfileError("available house set is empty")

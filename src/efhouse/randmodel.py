@@ -115,16 +115,12 @@ def threshold_mechanism(utilities: UtilityMatrix) -> Assignment | None:
     cutoff = 1.0 - 1.0 / n
     above = values >= cutoff
     claimable = np.flatnonzero(above.sum(axis=0) == 1)
-    assigned: dict[int, int] = {}
-    for house in claimable:
-        agent = int(above[:, house].argmax())
-        if agent not in assigned:
-            assigned[agent] = int(house) + 1
-            if len(assigned) == n:
-                break
-    if len(assigned) < n:
+    # each claimable house's only claimer; an agent's first entry is its
+    # lowest-id house
+    agents, first = np.unique(above[:, claimable].argmax(axis=0), return_index=True)
+    if len(agents) < n:
         return None
-    return Assignment(tuple(assigned[i] for i in range(n)))
+    return Assignment(tuple((claimable[first] + 1).tolist()))
 
 
 def estimate_existence_probability(

@@ -11,11 +11,12 @@ houses) or fewer houses than agents (a proof of nonexistence).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .bigraph import BipartiteGraph, HallViolator, hall_violator, maximum_matching
-from .prefs import PreferenceProfile, top_choices
+from .bigraph import BipartiteGraph, HallViolator, Matching, violator_or_matching
+from .prefs import PreferenceProfile
 
 
 class InvalidInstanceError(ValueError):
@@ -92,26 +93,48 @@ def envy_free_assignment(
     """
     n, m = profile.n_agents, profile.n_houses
     require_enough_houses(n, m)
-    available = frozenset(range(1, m + 1))
+    # favorites rows share these int objects; an id above 256 would
+    # otherwise be a fresh int in every row that holds it
+    house_ids = list(range(1, m + 1))
+    available = frozenset(house_ids)
     records: list[IterationRecord] = []
     assignment: Assignment | None = None
+    # removed houses are masked with a rank worse than any real one, so the
+    # minimum of a row is the best rank still on offer
+    masked = [list(row) for row in profile.ranks]
     rows: list[tuple[int, ...]] = [()] * n
-    stale = range(1, n + 1)
+    stale = range(n)
     while len(available) >= n:
-        for agent in stale:
-            rows[agent - 1] = tuple(sorted(top_choices(profile, agent, available)))
+        for i in stale:
+            rows[i] = _favorites(masked[i], house_ids)
         graph = BipartiteGraph(n, m, tuple(rows))
-        violator = hall_violator(graph)
-        records.append(IterationRecord(available, graph, violator))
-        if violator is None:
-            by_agent = maximum_matching(graph).left_to_right()
+        found = violator_or_matching(graph)
+        if isinstance(found, Matching):
+            records.append(IterationRecord(available, graph, None))
+            by_agent = found.left_to_right()
             assignment = Assignment(tuple(by_agent[a] for a in range(1, n + 1)))
             break
-        removed = violator.neighborhood
+        records.append(IterationRecord(available, graph, found))
+        removed = found.neighborhood
         available = available - removed
+        for row in masked:
+            for house in removed:
+                row[house - 1] = math.inf
         # a row that lost no house keeps its best rank, hence its members
-        stale = [agent for agent, row in enumerate(rows, start=1) if not removed.isdisjoint(row)]
+        stale = [i for i, row in enumerate(rows) if not removed.isdisjoint(row)]
     return assignment, SolveTrace(tuple(records), assignment)
+
+
+def _favorites(row: list[float], house_ids: list[int]) -> tuple[int, ...]:
+    """The ``house_ids`` entries, in order, at the positions of the minimum of ``row``."""
+    best = min(row)
+    index = row.index
+    houses = []
+    position = -1
+    for _ in range(row.count(best)):
+        position = index(best, position + 1)
+        houses.append(house_ids[position])
+    return tuple(houses)
 
 
 def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool:

@@ -19,6 +19,7 @@ from efhouse.bigraph import (
     hall_violator,
     maximum_matching,
     neighborhood,
+    violator_or_matching,
 )
 from efhouse.oracle import brute_force_hall_check
 
@@ -170,6 +171,24 @@ def test_random_violators_satisfy_all_invariants():
         assert violator_is_subset_minimal(g, violator.vertices)
         assert violator.vertices in [v.vertices for v in brute_force_hall_check(g)]
         checked += 1
+
+
+def test_violator_or_matching_is_the_violator_else_the_maximum_matching():
+    rng = random.Random(7)
+    saturating = 0
+    for _ in range(400):
+        n_left, n_right = rng.randint(1, 30), rng.randint(1, 40)
+        g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.02, 0.3))
+        found = violator_or_matching(g)
+        reach = alternating_reach(g)
+        if reach is None:
+            saturating += 1
+            assert found == maximum_matching(g)  # pair for pair
+            assert found.size() == g.n_left
+        else:
+            assert found == hall_violator(g)
+            assert found.vertices == reach
+    assert 50 < saturating < 350  # both outcomes are exercised
 
 
 def test_maximum_matching_size_matches_scipy_and_networkx():

@@ -101,6 +101,25 @@ def test_solve_exit_two_when_header_outgrows_file(tmp_path, capsys):
     assert err == "error: line 1: 1000000000000 houses cannot be listed in 18 characters\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "data, offset, byte",
+    [
+        (GOLDEN.encode() + b"\xff\n", len(GOLDEN), 0xFF),
+        (b"2 3\n1 > 2 > 3\n1 > \xc3(3 > 2\n", 18, 0xC3),  # cut-short multibyte
+        # past the first 8 KiB, so the offset cannot be relative to a read chunk
+        (b"2 3\n" + b" " * 10_000 + b"\x80", 10_004, 0x80),
+    ],
+)
+def test_non_utf8_file_exits_two_naming_the_byte(tmp_path, capsys, command, data, offset, byte):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not UTF-8 text: byte 0x{byte:02x} at offset {offset}\n"
+
+
 def test_solve_exit_two_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.txt")
     assert code == 2

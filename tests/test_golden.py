@@ -44,6 +44,7 @@ STRICT_SAMPLES = [(1, 1, 0), (3, 7, 1), (8, 5, 2), (20, 20, 3), (50, 120, 4), (1
 SIMULATE = [
     ["simulate", "--n", "20", "--m", "20", "--trials", "200", "--seed", "0"],
     ["simulate", "--n", "10", "--sweep", "10:40:10", "--trials", "100"],
+    ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "0"],
 ]
 
 

@@ -15,7 +15,7 @@ from efhouse.randmodel import (
     threshold_mechanism,
     utilities_to_profile,
 )
-from efhouse.solver import InvalidInstanceError, verify_envy_free
+from efhouse.solver import Assignment, InvalidInstanceError, verify_envy_free
 
 
 def test_single_house_forces_trivial_ranking():
@@ -107,6 +107,60 @@ def test_threshold_mechanism_skips_served_agents():
 def test_threshold_mechanism_single_agent_takes_favorite():
     utilities = UtilityMatrix(np.array([[0.2, 0.7, 0.4]]))
     assert threshold_mechanism(utilities).mapping() == {1: 2}
+    # the cutoff 1 - 1/1 = 0 lets every house qualify; a tied favorite goes to the lower id
+    assert threshold_mechanism(UtilityMatrix(np.array([[0.0, 0.6, 0.6]]))).houses == (2,)
+    assert threshold_mechanism(UtilityMatrix(np.array([[0.0, 0.0, 0.0]]))).houses == (1,)
+
+
+def greedy_threshold_mechanism(values: np.ndarray) -> Assignment | None:
+    """Reference for `threshold_mechanism`: its documented house-by-house scan."""
+    n = values.shape[0]
+    if n == 1:
+        return Assignment((int(np.argmax(values[0])) + 1,))
+    cutoff = 1.0 - 1.0 / n
+    above = values >= cutoff
+    claimable = np.flatnonzero(above.sum(axis=0) == 1)
+    assigned: dict[int, int] = {}
+    for house in claimable:
+        agent = int(above[:, house].argmax())
+        if agent not in assigned:
+            assigned[agent] = int(house) + 1
+            if len(assigned) == n:
+                break
+    if len(assigned) < n:
+        return None
+    return Assignment(tuple(assigned[i] for i in range(n)))
+
+
+def test_threshold_mechanism_matches_the_greedy_scan():
+    rng = np.random.default_rng(56)
+    served = 0
+    for trial in range(600):
+        n = 1 + trial % 12
+        m = n + int(rng.integers(0, 12 * n))
+        values = rng.random((n, m))
+        if trial % 3 == 0:
+            values = np.round(values, 1)  # shared values: contested and tied houses
+        if trial % 4 == 0:
+            values[rng.random((n, m)) < 0.3] = 1.0 - 1.0 / n  # exactly at the cutoff
+        expected = greedy_threshold_mechanism(values)
+        got = threshold_mechanism(UtilityMatrix(values))
+        assert got == expected, (trial, n, m)
+        if got is not None:
+            served += 1
+            assert all(type(house) is int for house in got.houses)
+    assert 100 < served < 500  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_threshold_mechanism_cutoff_is_inclusive(n):
+    cutoff = 1.0 - 1.0 / n
+    below = np.nextafter(cutoff, 0.0)
+    values = np.full((n, n + 1), below)
+    values[np.arange(n), np.arange(n) + 1] = cutoff  # agent i alone reaches house i + 2
+    assert threshold_mechanism(UtilityMatrix(values)).houses == tuple(range(2, n + 2))
+    values[0, 1] = below
+    assert threshold_mechanism(UtilityMatrix(values)) is None
 
 
 def test_threshold_mechanism_output_is_envy_free():

@@ -14,7 +14,7 @@ from conftest import (
 )
 from efhouse.bigraph import maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
-from efhouse.prefs import parse_profile, top_choices
+from efhouse.prefs import PreferenceProfile, parse_profile, top_choices
 from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
@@ -165,6 +165,37 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
             assert S == alternating_reach(rec.graph)
             assert len(S) == len(N) + 1
             assert N == neighborhood(rec.graph, S)
+
+
+def test_rank_values_matter_only_through_their_order():
+    # an affine rewrite with negative and widely spaced values keeps every comparison
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        profile = random_tie_profile(rng, n, n + rng.randint(0, 2 * n))
+        rewritten = PreferenceProfile(
+            profile.n_agents,
+            profile.n_houses,
+            tuple(tuple(1000 * r - 5000 for r in row) for row in profile.ranks),
+        )
+        _, trace = envy_free_assignment(profile)
+        _, rewritten_trace = envy_free_assignment(rewritten)
+        assert result_json(rewritten_trace) == result_json(trace)
+
+
+def test_found_assignment_is_the_maximum_matching_of_the_last_pass():
+    rng = random.Random(23)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(1, 15)
+        profile = random_tie_profile(rng, n, n + rng.randint(0, 3 * n))
+        assignment, trace = envy_free_assignment(profile)
+        if assignment is None:
+            continue
+        found += 1
+        by_agent = maximum_matching(trace.iterations[-1].graph).left_to_right()
+        assert assignment.houses == tuple(by_agent[a] for a in range(1, n + 1))
+    assert found > 50
 
 
 def assert_favorites_rows_fresh(profile, trace):
