@@ -21,8 +21,6 @@ from .prefs import (
     ProfileError,
     format_profile,
     parse_profile,
-    top_choices,
-    weakly_prefers,
 )
 from .randmodel import (
     MonteCarloStats,
@@ -73,9 +71,7 @@ __all__ = [
     "sample_strict_profile",
     "sample_utilities",
     "threshold_mechanism",
-    "top_choices",
     "utilities_to_profile",
     "verify_envy_free",
     "violator_or_matching",
-    "weakly_prefers",
 ]

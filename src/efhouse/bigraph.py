@@ -18,7 +18,10 @@ class BipartiteGraph:
     """Bipartite graph on left vertices 1..n_left and right vertices 1..n_right.
 
     ``adj[x - 1]`` holds the right-side neighbors of left vertex ``x`` as a
-    sorted, duplicate-free tuple. Immutable once built.
+    sorted, duplicate-free tuple. Immutable once built. The constructor
+    checks every row; the solver builds its favorites graphs through
+    `_favorites_graph`, which skips those checks because `solver._favorites`
+    produces each row sorted, duplicate-free and within 1..n_right.
     """
 
     n_left: int
@@ -37,18 +40,16 @@ class BipartiteGraph:
             if row and (row[0] < 1 or row[-1] > self.n_right):
                 raise ValueError(f"right vertex out of range 1..{self.n_right}")
 
-    @classmethod
-    def from_edges(
-        cls, n_left: int, n_right: int, edges: Iterable[tuple[int, int]]
-    ) -> "BipartiteGraph":
-        neighbors: list[set[int]] = [set() for _ in range(n_left)]
-        for x, y in edges:
-            if not 1 <= x <= n_left:
-                raise ValueError(f"left vertex {x} out of range 1..{n_left}")
-            if not 1 <= y <= n_right:
-                raise ValueError(f"right vertex {y} out of range 1..{n_right}")
-            neighbors[x - 1].add(y)
-        return cls(n_left, n_right, tuple(tuple(sorted(s)) for s in neighbors))
+
+def _favorites_graph(
+    n_left: int, n_right: int, adj: tuple[tuple[int, ...], ...]
+) -> BipartiteGraph:
+    """`BipartiteGraph` without its checks; the arguments must already satisfy them."""
+    graph = object.__new__(BipartiteGraph)
+    object.__setattr__(graph, "n_left", n_left)
+    object.__setattr__(graph, "n_right", n_right)
+    object.__setattr__(graph, "adj", adj)
+    return graph
 
 
 @dataclass(frozen=True)

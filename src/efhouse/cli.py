@@ -132,7 +132,8 @@ def run_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_house_counts(args: argparse.Namespace) -> list[int]:
+def _resolve_house_counts(args: argparse.Namespace) -> range:
+    """The house counts to simulate, ascending; a range, so a long sweep costs no memory."""
     if args.sweep and args.m:
         raise ProfileError("use either --m or --sweep, not both")
     if args.sweep:
@@ -145,18 +146,19 @@ def _resolve_house_counts(args: argparse.Namespace) -> list[int]:
             raise ProfileError("--sweep expects integers m1:m2:step") from None
         if first < 1 or last < first or step < 1:
             raise ProfileError("--sweep requires 1 <= m1 <= m2 and step >= 1")
-        return list(range(first, last + 1, step))
+        return range(first, last + 1, step)
     if args.m is None:
         raise ProfileError("one of --m or --sweep is required")
     if args.m == "3nlogn":
-        return [math.ceil(3 * args.n * math.log(args.n))]
+        m = math.ceil(3 * args.n * math.log(args.n))
+        return range(m, m + 1)
     try:
         m = int(args.m)
     except ValueError:
         raise ProfileError(f"--m must be an integer or `3nlogn`, got {args.m!r}") from None
     if m < 1:
         raise ProfileError("--m must be positive")
-    return [m]
+    return range(m, m + 1)
 
 
 def run_simulate(args: argparse.Namespace) -> int:
@@ -167,8 +169,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ProfileError("--seed must be nonnegative")
     house_counts = _resolve_house_counts(args)
-    for m in house_counts:
-        solver.require_enough_houses(args.n, m)
+    solver.require_enough_houses(args.n, house_counts[0])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["n", "m", "trials", "successes", "mechanism_successes", "success_fraction", "seed"]

@@ -43,20 +43,6 @@ class PreferenceProfile:
                     f"expected {self.n_houses} ranks per agent, got {len(row)}"
                 )
 
-    def rank(self, agent: int, house: int) -> int:
-        """Rank of ``house`` for ``agent``; lower is better."""
-        self._check_agent(agent)
-        self._check_house(house)
-        return self.ranks[agent - 1][house - 1]
-
-    def _check_agent(self, agent: int) -> None:
-        if not 1 <= agent <= self.n_agents:
-            raise ProfileError(f"agent {agent} out of range 1..{self.n_agents}")
-
-    def _check_house(self, house: int) -> None:
-        if not 1 <= house <= self.n_houses:
-            raise ProfileError(f"house {house} out of range 1..{self.n_houses}")
-
 
 def parse_profile(text: str) -> PreferenceProfile:
     """Parse an instance file into a profile.
@@ -137,29 +123,3 @@ def format_profile(profile: PreferenceProfile) -> str:
                 groups.append([house])
         lines.append(" > ".join(" = ".join(str(h) for h in g) for g in groups))
     return "\n".join(lines) + "\n"
-
-
-def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> set[int]:
-    """Houses in ``available`` that ``agent`` likes best (all tied at the best rank).
-
-    The validating reference for favorites: the agent and every house are
-    range-checked. The solve loop does not call it; it takes the minimum of
-    a masked rank row instead, and the tests compare the two.
-    """
-    profile._check_agent(agent)
-    if not available:
-        raise ProfileError("available house set is empty")
-    row = profile.ranks[agent - 1]
-    best: int | None = None
-    for house in available:
-        if not 1 <= house <= profile.n_houses:
-            raise ProfileError(f"house {house} out of range 1..{profile.n_houses}")
-        rank = row[house - 1]
-        if best is None or rank < best:
-            best = rank
-    return {house for house in available if row[house - 1] == best}
-
-
-def weakly_prefers(profile: PreferenceProfile, agent: int, h1: int, h2: int) -> bool:
-    """True when ``agent`` likes ``h1`` at least as much as ``h2``."""
-    return profile.rank(agent, h1) <= profile.rank(agent, h2)

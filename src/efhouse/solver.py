@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .bigraph import BipartiteGraph, HallViolator, Matching, violator_or_matching
+from .bigraph import BipartiteGraph, HallViolator, Matching, _favorites_graph, violator_or_matching
 from .prefs import PreferenceProfile
 
 
@@ -107,7 +107,7 @@ def envy_free_assignment(
     while len(available) >= n:
         for i in stale:
             rows[i] = _favorites(masked[i], house_ids)
-        graph = BipartiteGraph(n, m, tuple(rows))
+        graph = _favorites_graph(n, m, tuple(rows))
         found = violator_or_matching(graph)
         if isinstance(found, Matching):
             records.append(IterationRecord(available, graph, None))

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from efhouse.bigraph import BipartiteGraph, Matching, maximum_matching
-from efhouse.prefs import PreferenceProfile
+from efhouse.prefs import PreferenceProfile, ProfileError
 
 
 def profile_from_orders(*orders: tuple[int, ...]) -> PreferenceProfile:
@@ -26,6 +26,43 @@ def profile_from_orders(*orders: tuple[int, ...]) -> PreferenceProfile:
             ranks[house - 1] = position
         rows.append(tuple(ranks))
     return PreferenceProfile(len(orders), m, tuple(rows))
+
+
+def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> set[int]:
+    """Houses in ``available`` that ``agent`` likes best (all tied at the best rank).
+
+    The reference for the solver's favorites rows: a plain scan of the
+    available houses, with the agent and every house range-checked.
+    """
+    if not 1 <= agent <= profile.n_agents:
+        raise ProfileError(f"agent {agent} out of range 1..{profile.n_agents}")
+    if not available:
+        raise ProfileError("available house set is empty")
+    row = profile.ranks[agent - 1]
+    for house in available:
+        if not 1 <= house <= profile.n_houses:
+            raise ProfileError(f"house {house} out of range 1..{profile.n_houses}")
+    best = min(row[house - 1] for house in available)
+    return {house for house in available if row[house - 1] == best}
+
+
+def weakly_prefers(profile: PreferenceProfile, agent: int, h1: int, h2: int) -> bool:
+    """True when ``agent`` likes ``h1`` at least as much as ``h2``."""
+    row = profile.ranks[agent - 1]
+    return row[h1 - 1] <= row[h2 - 1]
+
+
+def graph_from_edges(n_left: int, n_right: int, edges) -> BipartiteGraph:
+    """Graph with the given (left, right) edges; repeats collapse.
+
+    Right ends are range-checked by `BipartiteGraph` itself.
+    """
+    neighbors: list[set[int]] = [set() for _ in range(n_left)]
+    for x, y in edges:
+        if not 1 <= x <= n_left:
+            raise ValueError(f"left vertex {x} out of range 1..{n_left}")
+        neighbors[x - 1].add(y)
+    return BipartiteGraph(n_left, n_right, tuple(tuple(sorted(s)) for s in neighbors))
 
 
 def random_strict_profile(rng: random.Random, n: int, m: int) -> PreferenceProfile:
@@ -65,7 +102,7 @@ def random_bipartite_graph(
         for y in range(1, n_right + 1)
         if rng.random() < density
     ]
-    return BipartiteGraph.from_edges(n_left, n_right, edges)
+    return graph_from_edges(n_left, n_right, edges)
 
 
 def reference_matching_sizes(graph: BipartiteGraph) -> tuple[int, int]:

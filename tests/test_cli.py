@@ -173,6 +173,13 @@ def test_simulate_sweep_emits_one_row_per_house_count(capsys):
     assert [row.split(",")[1] for row in rows] == ["3", "6", "9"]
 
 
+def test_sweep_house_counts_are_a_range():
+    args = cli.build_parser().parse_args(["simulate", "--n", "3", "--sweep", "3:9:3", "--trials", "1"])
+    counts = cli._resolve_house_counts(args)
+    assert isinstance(counts, range)
+    assert list(counts) == [3, 6, 9]
+
+
 def test_simulate_deterministic_output(capsys):
     args = ["simulate", "--n", "4", "--m", "8", "--trials", "30", "--seed", "17"]
     _, first, _ = run_cli(capsys, *args)
@@ -193,6 +200,8 @@ def test_simulate_deterministic_output(capsys):
         ["simulate", "--n", "3", "--m", "5", "--trials", "5", "--seed", "-4"],
         ["simulate", "--n", "1", "--m", "3nlogn", "--trials", "5"],  # expands to m = 0
         ["simulate", "--n", "5", "--sweep", "3:8:1", "--trials", "5"],  # m = 3, 4 too few
+        # rejected on its first house count, before the sweep is expanded
+        ["simulate", "--n", "2", "--sweep", "1:1000000000000:1", "--trials", "1"],
     ],
 )
 def test_simulate_rejects_bad_parameters(argv, capsys):

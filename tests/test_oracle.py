@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import profile_from_orders
+from conftest import graph_from_edges, profile_from_orders
 from efhouse.bigraph import BipartiteGraph
 from efhouse.oracle import (
     InstanceTooLargeError,
@@ -67,12 +67,12 @@ def test_ties_count_as_not_worse():
 
 
 def test_hall_check_complete_graph_is_clean():
-    g = BipartiteGraph.from_edges(3, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
+    g = graph_from_edges(3, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
     assert brute_force_hall_check(g) == []
 
 
 def test_hall_check_shared_neighbor():
-    g = BipartiteGraph.from_edges(2, 1, [(1, 1), (2, 1)])
+    g = graph_from_edges(2, 1, [(1, 1), (2, 1)])
     violators = brute_force_hall_check(g)
     assert [v.vertices for v in violators] == [frozenset({1, 2})]
     assert violators[0].neighborhood == frozenset({1})
@@ -80,7 +80,7 @@ def test_hall_check_shared_neighbor():
 
 def test_hall_check_reports_only_minimal_sets():
     # vertex 3 is isolated: {3} is the only minimal violator containing 3
-    g = BipartiteGraph.from_edges(3, 2, [(1, 1), (2, 1), (2, 2)])
+    g = graph_from_edges(3, 2, [(1, 1), (2, 1), (2, 2)])
     assert [v.vertices for v in brute_force_hall_check(g)] == [frozenset({3})]
 
 

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tie_profiles
+from conftest import tie_profiles, top_choices, weakly_prefers
 from efhouse.prefs import (
     PreferenceProfile,
     ProfileError,
     format_profile,
     parse_profile,
-    top_choices,
-    weakly_prefers,
 )
 
 GOLDEN = "2 3\n1 > 2 > 3\n1 > 3 > 2"
@@ -76,14 +74,6 @@ def test_parse_errors_carry_line_numbers(text, line, message):
 def test_profile_rejects_ragged_ranks():
     with pytest.raises(ProfileError):
         PreferenceProfile(2, 2, ((1, 2), (1,)))
-
-
-def test_rank_bounds_checked():
-    profile = parse_profile(GOLDEN)
-    with pytest.raises(ProfileError):
-        profile.rank(3, 1)
-    with pytest.raises(ProfileError):
-        profile.rank(1, 4)
 
 
 def test_top_choices_golden_agent_one():

@@ -11,10 +11,11 @@ from conftest import (
     random_tie_profile,
     reference_matching_sizes,
     tie_profiles,
+    top_choices,
 )
-from efhouse.bigraph import maximum_matching, neighborhood
+from efhouse.bigraph import BipartiteGraph, maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
-from efhouse.prefs import PreferenceProfile, parse_profile, top_choices
+from efhouse.prefs import PreferenceProfile, parse_profile
 from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
@@ -199,10 +200,17 @@ def test_found_assignment_is_the_maximum_matching_of_the_last_pass():
 
 
 def assert_favorites_rows_fresh(profile, trace):
-    """Each pass's favorites rows equal a from-scratch ranking, and passes chain."""
+    """Each pass's favorites rows equal a from-scratch ranking, and passes chain.
+
+    The solver builds its graphs without `BipartiteGraph`'s row checks, so
+    each is rebuilt through the checking constructor, which must accept it
+    and give an equal graph.
+    """
     records = trace.iterations
     assert records[0].available == set(range(1, profile.n_houses + 1))
     for rec in records:
+        checked = BipartiteGraph(rec.graph.n_left, rec.graph.n_right, rec.graph.adj)
+        assert checked == rec.graph and hash(checked) == hash(rec.graph)
         assert rec.graph.adj == tuple(
             tuple(sorted(top_choices(profile, agent, rec.available)))
             for agent in range(1, profile.n_agents + 1)
