@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ProfileError(ValueError):
@@ -51,7 +54,17 @@ def parse_profile(text: str) -> PreferenceProfile:
     agent. A ranking lists house ids separated by ``>`` for strict preference
     and ``=`` for ties, e.g. ``1 > 2 = 3 > 4``; whitespace around separators
     is ignored and every house id in 1..m must appear exactly once.
+
+    Plain files (ASCII digits, spaces, tabs, ``>``, ``=`` and ``\\n`` only)
+    are read with a few numpy passes; anything else, and any file that fails
+    a check there, goes to the line parser, which words every error.
     """
+    profile = _parse_plain(text)
+    return profile if profile is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> PreferenceProfile:
+    """Line-by-line parser: takes any house id ``int()`` takes, words every error."""
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or not lines[0]:
         raise ProfileError("missing `n m` header", line=1)
@@ -110,16 +123,108 @@ def _parse_ranking(raw: str, line: int, m: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+_HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*\n")
+# each byte's kind: a digit's value, then `>`, `=`, blank (space, tab or
+# newline) and anything else
+_GT, _EQ, _BLANK, _OTHER = 10, 11, 12, 13
+_BYTE_KIND = bytearray([_OTHER]) * 256  # a `bytes.translate` table
+_BYTE_KIND[ord("0") : ord("9") + 1] = range(10)
+_BYTE_KIND[ord(">")] = _GT
+_BYTE_KIND[ord("=")] = _EQ
+_BYTE_KIND[ord(" ")] = _BYTE_KIND[ord("\t")] = _BYTE_KIND[ord("\n")] = _BLANK
+_BLOCK_TOKENS = 1 << 11  # bounds the temporaries of one block of rows
+
+
+def _parse_plain(text: str) -> PreferenceProfile | None:
+    """The profile of a plain, valid file, or None to leave the file to the line parser."""
+    header = _HEADER.match(text)
+    if header is None or not text.isascii():
+        return None
+    n, m = int(header[1]), int(header[2])
+    # every id takes a character: this bounds all that is allocated below
+    if not 0 < n * m <= len(text):
+        return None
+    line_end = []
+    start = header.end()
+    for _ in range(n):
+        end = text.find("\n", start)
+        if end < 0:  # the last ranking may end the text without a newline
+            if len(line_end) < n - 1:
+                return None
+            end = len(text)
+        line_end.append(end)
+        start = end + 1
+    if text[start:].strip(" \t\n"):
+        return None  # more than blank lines after the last ranking
+    rows: list[tuple[int, ...]] = []
+    step = max(1, _BLOCK_TOKENS // m)
+    for first in range(0, n, step):
+        ends = line_end[first : first + step]
+        lo = line_end[first - 1] + 1 if first else header.end()
+        kind = np.frombuffer(text[lo : ends[-1]].encode("ascii").translate(_BYTE_KIND), np.uint8)
+        ranks = _plain_rows(kind, np.array(ends[:-1], dtype=np.intp) - lo, m)
+        if ranks is None:
+            return None
+        if not rows:  # made once a full ranking is in hand, so its size is real
+            pool = np.array(range(m + 1), dtype=object)  # one int object per rank value
+        rows.extend(tuple(pool[row].tolist()) for row in ranks)
+    return PreferenceProfile(n, m, tuple(rows))
+
+
+def _plain_rows(kind: np.ndarray, breaks: np.ndarray, m: int) -> np.ndarray | None:
+    """Rank rows of ranking lines given by byte kind and split at ``breaks``; None if any is off."""
+    k = len(breaks) + 1
+    if not (kind < _OTHER).all():
+        return None
+    is_digit = kind < _GT
+    is_sep = (kind < _BLANK) ^ is_digit
+    if np.count_nonzero(is_sep) != k * (m - 1):
+        return None
+    first = is_digit.copy()
+    first[1:] &= ~is_digit[:-1]
+    # id starts and separators in text order: every line must read
+    # id sep id ... sep id, so no two ids meet across bare whitespace
+    items = np.flatnonzero(first | is_sep)
+    if len(items) != k * (2 * m - 1):
+        return None
+    grid = items.reshape(k, 2 * m - 1)
+    seps = grid[:, 1::2]
+    if not is_sep[seps].all() or (grid[1:, 0] < breaks).any() or (grid[:-1, -1] > breaks).any():
+        return None
+    last = is_digit.copy()
+    last[:-1] &= ~is_digit[1:]
+    stops = np.flatnonzero(last)  # last digit of each id
+    lead = stops - grid[:, 0::2].ravel()  # digits before the last
+    places = len(str(m))
+    if lead.max() >= places:
+        return None  # leading zeros are left to the line parser
+    ids = kind[stops].astype(np.intp)
+    for place in range(1, places):
+        digit = kind[stops - place].astype(np.intp)
+        digit[lead < place] = 0
+        ids += digit * 10**place
+    if ids.min() < 1 or ids.max() > m:
+        return None
+    # a tie group ranks every member at the 1-based slot of its first member;
+    # a group opens at each row start and after each `>` (the kind below `=`)
+    slot = np.empty((k, m), np.intp)
+    slot[:, 0] = 1
+    np.multiply(kind[seps] < _EQ, np.arange(2, m + 1), out=slot[:, 1:])
+    np.maximum.accumulate(slot, axis=1, out=slot)
+    ranks = np.zeros(k * m, np.intp)
+    ranks[ids.reshape(k, m) + np.arange(-1, k * m - 1, m)[:, None]] = slot
+    # a repeated id leaves another house unranked
+    return ranks.reshape(k, m) if ranks.all() else None
+
+
 def format_profile(profile: PreferenceProfile) -> str:
     """Render a profile back into the instance file format."""
     lines = [f"{profile.n_agents} {profile.n_houses}"]
     for row in profile.ranks:
-        order = sorted(range(1, profile.n_houses + 1), key=lambda h: (row[h - 1], h))
-        groups: list[list[int]] = []
-        for house in order:
-            if groups and row[house - 1] == row[groups[-1][0] - 1]:
-                groups[-1].append(house)
-            else:
-                groups.append([house])
-        lines.append(" > ".join(" = ".join(str(h) for h in g) for g in groups))
+        order = sorted(range(profile.n_houses), key=row.__getitem__)  # stable: ties by id
+        parts = [str(order[0] + 1)]
+        for before, house in zip(order, order[1:]):
+            parts.append(" = " if row[house] == row[before] else " > ")
+            parts.append(str(house + 1))
+        lines.append("".join(parts))
     return "\n".join(lines) + "\n"

@@ -26,7 +26,8 @@ class UtilityMatrix:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("utilities must form a nonempty 2-d array")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("utilities must lie in [0, 1]")
 
     @property

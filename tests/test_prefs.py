@@ -8,6 +8,7 @@ from conftest import tie_profiles, top_choices, weakly_prefers
 from efhouse.prefs import (
     PreferenceProfile,
     ProfileError,
+    _parse_lines,
     format_profile,
     parse_profile,
 )
@@ -56,6 +57,14 @@ PARSE_ERRORS = [
     ("1 3\n3 = 0 > 1", 2, "house 0 out of range 1..3"),
     ("1 3\n1 = 2 x > 3", 2, "not a house id: '2 x'"),
     ("1 1000000000000\n1\n", 1, "1000000000000 houses cannot be listed in 18 characters"),
+    ("1 12\n1 2 > 1 > 3 > 4 > 5 > 6 > 7 > 8 > 9 > 10 > 11 > 2\n", 2, "not a house id: '1 2'"),
+    ("1 3\n1\t2 > 3\n", 2, "not a house id: '1\\t2'"),
+    ("2 3\n1 > 2 > 3\n\n1 > 3 > 2\n", 3, "empty ranking line"),
+    ("2 3\n1 > 2 > 3\n \t \n1 > 3 > 2\n", 3, "empty ranking line"),
+    ("1 3\r\n1 > 2\r\n", 2, "house 3 missing from ranking"),
+    ("1 3\n1 > 2 > 0004\n", 2, "house 4 out of range 1..3"),
+    ("1 3\n1 > 2 > -3\n", 2, "house -3 out of range 1..3"),
+    ("1 3\n1 > 2 > \u0663\u0663\n", 2, "house 33 out of range 1..3"),
 ]
 
 
@@ -69,6 +78,25 @@ def test_parse_errors_carry_line_numbers(text, line, message):
         parse_profile(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+ACCEPTED = [
+    ("2 3\r\n1 > 2 > 3\r\n1 > 3 > 2\r\n", ((1, 2, 3), (1, 3, 2))),
+    ("1 3\n1\t>\t2\t=\t3\n", ((1, 2, 2),)),
+    ("1 3\n\t3 >1\t= 2 \t\n \n\t\n", ((2, 2, 1),)),
+    ("1 3\n003 > 01 > 2\n", ((2, 3, 1),)),
+    ("1 10\n007 > 1 > 2 > 3 > 4 > 5 > 6 > 8 > 9 > 10\n", ((2, 3, 4, 5, 6, 7, 1, 8, 9, 10),)),
+    ("1 3\n+3 > 1 > 2\n", ((2, 3, 1),)),
+    ("1 3\n\u0663 > 1 = 2\n", ((2, 2, 1),)),
+    ("1 3\n\uff13 > 1 > 2\n", ((2, 3, 1),)),
+]
+
+
+@pytest.mark.parametrize("text, ranks", ACCEPTED, ids=[repr(text) for text, _ in ACCEPTED])
+def test_parse_accepts_every_form_the_line_parser_accepts(text, ranks):
+    profile = parse_profile(text)
+    assert profile.ranks == ranks
+    assert profile == _parse_lines(text)
 
 
 def test_profile_rejects_ragged_ranks():

@@ -86,6 +86,14 @@ def test_utility_matrix_validation():
         UtilityMatrix(np.array([0.5, 0.2]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_utility_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"^utilities must lie in \[0, 1\]$"):
+        UtilityMatrix(np.array([[bad, 0.5], [0.2, 0.4]]))
+    with pytest.raises(ValueError, match=r"^utilities must lie in \[0, 1\]$"):
+        UtilityMatrix(np.array([[0.3, 0.5], [0.2, bad]]))
+
+
 def test_threshold_mechanism_assigns_unique_claimants():
     utilities = UtilityMatrix(np.array([[0.9, 0.2, 0.3], [0.1, 0.8, 0.4]]))
     assignment = threshold_mechanism(utilities)
