@@ -34,7 +34,7 @@ def enumerate_ef_assignments(profile: PreferenceProfile) -> list[Assignment]:
         raise InstanceTooLargeError(
             f"{math.perm(m, n)} candidate assignments exceed the guard of {ENUMERATION_LIMIT}"
         )
-    ranks = profile.ranks
+    ranks = profile.ranks.tolist()
     found = []
     for houses in itertools.permutations(range(1, m + 1), n):
         if envy_free_houses(ranks, houses):
@@ -51,8 +51,9 @@ def is_pareto_among_ef(profile: PreferenceProfile, candidate: Assignment) -> boo
     """
     if not verify_envy_free(profile, candidate):
         raise ValueError("candidate assignment is not envy-free")
+    ranks = profile.ranks.tolist()
     for other in enumerate_ef_assignments(profile):
-        if _dominates(profile.ranks, other.houses, candidate.houses):
+        if _dominates(ranks, other.houses, candidate.houses):
             return False
     return True
 

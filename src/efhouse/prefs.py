@@ -18,33 +18,80 @@ class ProfileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+# the rank a removed house takes in the solver's masked matrix; no real rank
+# may reach it, so a masked house never ties an available one
+WORST_RANK = int(np.iinfo(np.int64).max)
+
+
+@dataclass(frozen=True, eq=False)
 class PreferenceProfile:
     """Complete weak ranking of every agent over every house.
 
-    ``ranks[i][h]`` is the rank agent ``i + 1`` gives house ``h + 1``; lower
+    ``ranks[i, h]`` is the rank agent ``i + 1`` gives house ``h + 1``; lower
     is better and equal values encode ties. Rank values need not be dense,
-    only the ordering they induce matters. Agent and house ids are 1-based
-    at the API boundary. Instances are immutable and safe to share across
-    threads.
+    only the ordering they induce matters; they must be integers below
+    ``WORST_RANK`` that fit in int64. Agent and house ids are 1-based at the
+    API boundary.
+
+    ``ranks`` may be given as rows of ints or as an integer array; it is kept
+    as a read-only ``(n_agents, n_houses)`` int64 array (``ranks.tolist()``
+    gives Python rows). A writeable array is copied, so the caller's later
+    writes do not reach the profile. Instances are immutable, hashable and
+    safe to share across threads.
     """
 
     n_agents: int
     n_houses: int
-    ranks: tuple[tuple[int, ...], ...]
+    ranks: np.ndarray
 
     def __post_init__(self):
         if self.n_agents < 1 or self.n_houses < 1:
             raise ProfileError("profile needs at least one agent and one house")
-        if len(self.ranks) != self.n_agents:
-            raise ProfileError(
-                f"expected {self.n_agents} rank rows, got {len(self.ranks)}"
-            )
-        for row in self.ranks:
-            if len(row) != self.n_houses:
-                raise ProfileError(
-                    f"expected {self.n_houses} ranks per agent, got {len(row)}"
-                )
+        object.__setattr__(self, "ranks", _rank_matrix(self.ranks, self.n_agents, self.n_houses))
+
+    def __eq__(self, other):
+        if not isinstance(other, PreferenceProfile):
+            return NotImplemented
+        return self.ranks.shape == other.ranks.shape and np.array_equal(self.ranks, other.ranks)
+
+    def __hash__(self):
+        return hash((self.ranks.shape, self.ranks.tobytes()))
+
+
+def _rank_matrix(ranks, n: int, m: int) -> np.ndarray:
+    """``ranks`` as a read-only ``(n, m)`` int64 array, checked."""
+    if not isinstance(ranks, np.ndarray):
+        if len(ranks) != n:
+            raise ProfileError(f"expected {n} rank rows, got {len(ranks)}")
+        for row in ranks:
+            if len(row) != m:
+                raise ProfileError(f"expected {m} ranks per agent, got {len(row)}")
+    elif ranks.ndim == 2 and ranks.shape[0] != n:
+        raise ProfileError(f"expected {n} rank rows, got {ranks.shape[0]}")
+    elif ranks.ndim == 2 and ranks.shape[1] != m:
+        raise ProfileError(f"expected {m} ranks per agent, got {ranks.shape[1]}")
+    # a read-only int64 array that views no other array is taken as it is;
+    # anything else is copied
+    if not (
+        isinstance(ranks, np.ndarray)
+        and ranks.dtype == np.int64
+        and ranks.base is None
+        and not ranks.flags.writeable
+    ):
+        array = np.array(ranks)
+        if array.dtype.kind == "O" and all(type(v) is int for v in array.flat):
+            raise ProfileError(f"rank values must fit in int64, got {max(array.flat, key=abs)}")
+        if array.dtype.kind not in "iu":
+            raise ProfileError(f"ranks must be integers, got {array.dtype} values")
+        if array.dtype.kind == "u" and array.size and array.max() > WORST_RANK:
+            raise ProfileError(f"rank values must fit in int64, got {array.max()}")
+        ranks = array.astype(np.int64, copy=False)
+        ranks.flags.writeable = False
+    if ranks.shape != (n, m):
+        raise ProfileError(f"ranks must form a {n} x {m} matrix, got shape {ranks.shape}")
+    if ranks.max() == WORST_RANK:
+        raise ProfileError(f"rank values must lie below {WORST_RANK}")
+    return ranks
 
 
 def parse_profile(text: str) -> PreferenceProfile:
@@ -64,8 +111,15 @@ def parse_profile(text: str) -> PreferenceProfile:
 
 
 def _parse_lines(text: str) -> PreferenceProfile:
-    """Line-by-line parser: takes any house id ``int()`` takes, words every error."""
-    lines = [ln.strip() for ln in text.splitlines()]
+    """Line-by-line parser: takes any house id ``int()`` takes, words every error.
+
+    Lines end only at ``\\r\\n``, ``\\r`` and ``\\n``, the newlines ``open()``
+    translates; other characters ``str.splitlines`` breaks at (``\\f``,
+    ``\\u2028`` and the like) are whitespace inside a line.
+    """
+    lines = [ln.strip() for ln in _NEWLINE.split(text)]
+    if text.endswith(("\r", "\n")):
+        lines.pop()  # a final newline ends the last line, it opens no new one
     if not lines or not lines[0]:
         raise ProfileError("missing `n m` header", line=1)
     head = lines[0].split()
@@ -104,10 +158,12 @@ def _parse_ranking(raw: str, line: int, m: int) -> tuple[int, ...]:
     for group in raw.split(">"):
         tokens = group.split("=")
         for token in tokens:
+            # stripped first: int() would take surrounding whitespace too,
+            # but not `\x1c`-`\x1f`, which `str.strip` counts as whitespace
+            token = token.strip()
             try:
-                house = int(token)  # int() ignores surrounding whitespace
+                house = int(token)
             except ValueError:
-                token = token.strip()
                 if not token:
                     raise ProfileError("malformed ranking: empty entry", line=line) from None
                 raise ProfileError(f"not a house id: {token!r}", line=line) from None
@@ -123,6 +179,7 @@ def _parse_ranking(raw: str, line: int, m: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+_NEWLINE = re.compile(r"\r\n?|\n")
 _HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]*\n")
 # each byte's kind: a digit's value, then `>`, `=`, blank (space, tab or
 # newline) and anything else
@@ -156,71 +213,72 @@ def _parse_plain(text: str) -> PreferenceProfile | None:
         start = end + 1
     if text[start:].strip(" \t\n"):
         return None  # more than blank lines after the last ranking
-    rows: list[tuple[int, ...]] = []
+    ranks = np.empty((n, m), np.int64)
     step = max(1, _BLOCK_TOKENS // m)
     for first in range(0, n, step):
         ends = line_end[first : first + step]
         lo = line_end[first - 1] + 1 if first else header.end()
         kind = np.frombuffer(text[lo : ends[-1]].encode("ascii").translate(_BYTE_KIND), np.uint8)
-        ranks = _plain_rows(kind, np.array(ends[:-1], dtype=np.intp) - lo, m)
-        if ranks is None:
+        if not _plain_rows(kind, np.array(ends[:-1], dtype=np.intp) - lo, ranks[first : first + step]):
             return None
-        if not rows:  # made once a full ranking is in hand, so its size is real
-            pool = np.array(range(m + 1), dtype=object)  # one int object per rank value
-        rows.extend(tuple(pool[row].tolist()) for row in ranks)
-    return PreferenceProfile(n, m, tuple(rows))
+    ranks.flags.writeable = False
+    return PreferenceProfile(n, m, ranks)
 
 
-def _plain_rows(kind: np.ndarray, breaks: np.ndarray, m: int) -> np.ndarray | None:
-    """Rank rows of ranking lines given by byte kind and split at ``breaks``; None if any is off."""
-    k = len(breaks) + 1
+def _plain_rows(kind: np.ndarray, breaks: np.ndarray, out: np.ndarray) -> bool:
+    """Write into ``out`` the rank rows of ranking lines given by byte kind and split at ``breaks``.
+
+    False if any line is off, leaving ``out`` partly written.
+    """
+    k, m = out.shape
     if not (kind < _OTHER).all():
-        return None
+        return False
     is_digit = kind < _GT
     is_sep = (kind < _BLANK) ^ is_digit
     if np.count_nonzero(is_sep) != k * (m - 1):
-        return None
+        return False
     first = is_digit.copy()
     first[1:] &= ~is_digit[:-1]
     # id starts and separators in text order: every line must read
     # id sep id ... sep id, so no two ids meet across bare whitespace
     items = np.flatnonzero(first | is_sep)
     if len(items) != k * (2 * m - 1):
-        return None
+        return False
     grid = items.reshape(k, 2 * m - 1)
     seps = grid[:, 1::2]
     if not is_sep[seps].all() or (grid[1:, 0] < breaks).any() or (grid[:-1, -1] > breaks).any():
-        return None
+        return False
     last = is_digit.copy()
     last[:-1] &= ~is_digit[1:]
     stops = np.flatnonzero(last)  # last digit of each id
     lead = stops - grid[:, 0::2].ravel()  # digits before the last
     places = len(str(m))
     if lead.max() >= places:
-        return None  # leading zeros are left to the line parser
+        return False  # leading zeros are left to the line parser
     ids = kind[stops].astype(np.intp)
     for place in range(1, places):
         digit = kind[stops - place].astype(np.intp)
         digit[lead < place] = 0
         ids += digit * 10**place
     if ids.min() < 1 or ids.max() > m:
-        return None
+        return False
     # a tie group ranks every member at the 1-based slot of its first member;
     # a group opens at each row start and after each `>` (the kind below `=`)
     slot = np.empty((k, m), np.intp)
     slot[:, 0] = 1
     np.multiply(kind[seps] < _EQ, np.arange(2, m + 1), out=slot[:, 1:])
     np.maximum.accumulate(slot, axis=1, out=slot)
-    ranks = np.zeros(k * m, np.intp)
+    ranks = out.reshape(-1)  # a view: the block's rows are contiguous
+    ranks[:] = 0
     ranks[ids.reshape(k, m) + np.arange(-1, k * m - 1, m)[:, None]] = slot
     # a repeated id leaves another house unranked
-    return ranks.reshape(k, m) if ranks.all() else None
+    return bool(ranks.all())
 
 
 def format_profile(profile: PreferenceProfile) -> str:
     """Render a profile back into the instance file format."""
     lines = [f"{profile.n_agents} {profile.n_houses}"]
-    for row in profile.ranks:
+    for row in profile.ranks.tolist():
         order = sorted(range(profile.n_houses), key=row.__getitem__)  # stable: ties by id
         parts = [str(order[0] + 1)]
         for before, house in zip(order, order[1:]):

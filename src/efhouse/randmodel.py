@@ -94,7 +94,8 @@ def _profile_from_orders(orders: np.ndarray) -> PreferenceProfile:
     n, m = orders.shape
     ranks = np.empty((n, m), dtype=np.int64)
     np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
-    return PreferenceProfile(n, m, tuple(map(tuple, ranks.tolist())))
+    ranks.flags.writeable = False  # handed over, not copied
+    return PreferenceProfile(n, m, ranks)
 
 
 def threshold_mechanism(utilities: UtilityMatrix) -> Assignment | None:

@@ -11,12 +11,13 @@ houses) or fewer houses than agents (a proof of nonexistence).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .bigraph import BipartiteGraph, HallViolator, Matching, _favorites_graph, violator_or_matching
-from .prefs import PreferenceProfile
+from .prefs import WORST_RANK, PreferenceProfile
 
 
 class InvalidInstanceError(ValueError):
@@ -95,18 +96,20 @@ def envy_free_assignment(
     require_enough_houses(n, m)
     # favorites rows share these int objects; an id above 256 would
     # otherwise be a fresh int in every row that holds it
-    house_ids = list(range(1, m + 1))
-    available = frozenset(house_ids)
+    house_ids = np.array(range(1, m + 1), dtype=object)
+    # as many rows of ids as a scan block has rows, all views of the one row
+    id_block = np.broadcast_to(house_ids, (max(1, _BLOCK_CELLS // m), m))
+    available = frozenset(house_ids.tolist())
     records: list[IterationRecord] = []
     assignment: Assignment | None = None
     # removed houses are masked with a rank worse than any real one, so the
     # minimum of a row is the best rank still on offer
-    masked = [list(row) for row in profile.ranks]
+    masked = profile.ranks.copy()
+    best = np.empty(n, np.int64)  # each row's minimum as of its last scan
     rows: list[tuple[int, ...]] = [()] * n
-    stale = range(n)
-    while len(available) >= n:
-        for i in stale:
-            rows[i] = _favorites(masked[i], house_ids)
+    stale = np.arange(n)
+    while True:
+        _favorites(masked, stale, id_block, best, rows)
         graph = _favorites_graph(n, m, tuple(rows))
         found = violator_or_matching(graph)
         if isinstance(found, Matching):
@@ -117,24 +120,44 @@ def envy_free_assignment(
         records.append(IterationRecord(available, graph, found))
         removed = found.neighborhood
         available = available - removed
-        for row in masked:
-            for house in removed:
-                row[house - 1] = math.inf
-        # a row that lost no house keeps its best rank, hence its members
-        stale = [i for i, row in enumerate(rows) if not removed.isdisjoint(row)]
+        if len(available) < n:
+            break
+        columns = np.fromiter(removed, np.intp, len(removed)) - 1
+        # a row that lost no favorite keeps its best rank, hence its members
+        stale = np.flatnonzero((masked[:, columns] == best[:, None]).any(axis=1))
+        masked[:, columns] = WORST_RANK
     return assignment, SolveTrace(tuple(records), assignment)
 
 
-def _favorites(row: list[float], house_ids: list[int]) -> tuple[int, ...]:
-    """The ``house_ids`` entries, in order, at the positions of the minimum of ``row``."""
-    best = min(row)
-    index = row.index
-    houses = []
-    position = -1
-    for _ in range(row.count(best)):
-        position = index(best, position + 1)
-        houses.append(house_ids[position])
-    return tuple(houses)
+_BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows
+
+
+def _favorites(
+    masked: np.ndarray,
+    stale: np.ndarray,
+    id_block: np.ndarray,
+    best: np.ndarray,
+    rows: list[tuple[int, ...]],
+) -> None:
+    """Set ``rows[i]`` and ``best[i]`` for every row ``i`` in ``stale`` from its masked ranks.
+
+    ``rows[i]`` holds the house ids, in order, at the positions of the
+    minimum of ``masked[i]``, and ``best[i]`` that minimum. Each row of
+    ``id_block`` lists the house ids; the stale rows are scanned as many at
+    a time as it has rows.
+    """
+    step = len(id_block)
+    for first in range(0, len(stale), step):
+        agents = stale[first : first + step]
+        block = masked[agents]
+        low = block.min(axis=1, keepdims=True)
+        best[agents] = low[:, 0]
+        hits = block == low
+        houses = id_block[: len(agents)][hits].tolist()  # row by row, each in id order
+        end = 0
+        for agent, count in zip(agents.tolist(), hits.sum(axis=1).tolist()):
+            rows[agent] = tuple(houses[end : end + count])
+            end += count
 
 
 def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool:
@@ -145,10 +168,10 @@ def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool
         )
     if any(h > profile.n_houses for h in assignment.houses):
         raise ValueError("assignment uses a house outside the profile")
-    return envy_free_houses(profile.ranks, assignment.houses)
+    return envy_free_houses(profile.ranks.tolist(), assignment.houses)
 
 
-def envy_free_houses(ranks: tuple[tuple[int, ...], ...], houses: tuple[int, ...]) -> bool:
+def envy_free_houses(ranks: list[list[int]], houses: tuple[int, ...]) -> bool:
     """The envy check behind `verify_envy_free`, on raw rank rows.
 
     ``houses[i]`` is agent ``i + 1``'s house. Nothing is validated, so

@@ -38,7 +38,7 @@ def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> 
         raise ProfileError(f"agent {agent} out of range 1..{profile.n_agents}")
     if not available:
         raise ProfileError("available house set is empty")
-    row = profile.ranks[agent - 1]
+    row = profile.ranks[agent - 1].tolist()
     for house in available:
         if not 1 <= house <= profile.n_houses:
             raise ProfileError(f"house {house} out of range 1..{profile.n_houses}")
@@ -48,7 +48,7 @@ def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> 
 
 def weakly_prefers(profile: PreferenceProfile, agent: int, h1: int, h2: int) -> bool:
     """True when ``agent`` likes ``h1`` at least as much as ``h2``."""
-    row = profile.ranks[agent - 1]
+    row = profile.ranks[agent - 1].tolist()
     return row[h1 - 1] <= row[h2 - 1]
 
 
@@ -91,6 +91,23 @@ def random_tie_profile(
             ranks[order[position] - 1] = group_rank
         rows.append(tuple(ranks))
     return PreferenceProfile(n, m, tuple(rows))
+
+
+def tiered_profile(n: int, m: int, tier: int, seed: int, popularity: float = 0.0) -> PreferenceProfile:
+    """Random orders cut into tie groups of `tier` consecutive houses.
+
+    Each agent orders the houses by ``popularity * p + (1 - popularity) * noise``,
+    best first, with one vector ``p`` per profile; at 0 the orders are
+    uniform and independent, and near 1 most agents want the same houses.
+    """
+    rng = np.random.default_rng(seed)
+    score = rng.random((n, m))
+    if popularity:
+        score = popularity * rng.random(m) + (1 - popularity) * score
+    orders = np.argsort(score, axis=1)
+    ranks = np.empty((n, m), dtype=np.int64)
+    np.put_along_axis(ranks, orders, np.arange(m) // tier * tier + 1, axis=1)
+    return PreferenceProfile(n, m, ranks)
 
 
 def random_bipartite_graph(

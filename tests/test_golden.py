@@ -81,7 +81,7 @@ def digraph_digest(seed: int, n: int, ties: bool) -> str:
 
 def strict_sample_digest(n: int, m: int, seed: int) -> str:
     ranks = sample_strict_profile(n, m, seed).ranks
-    return hashlib.sha256(json.dumps(ranks).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(ranks.tolist()).encode()).hexdigest()
 
 
 def simulate_csv(argv: list[str]) -> str:

@@ -13,12 +13,11 @@ import random
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from conftest import random_strict_profile, random_tie_profile
+from conftest import random_strict_profile, random_tie_profile, tiered_profile
 from efhouse import prefs
-from efhouse.prefs import PreferenceProfile, ProfileError, _parse_lines, format_profile, parse_profile
+from efhouse.prefs import ProfileError, _parse_lines, format_profile, parse_profile
 
 FUZZ_SEED = 20190502
 FUZZ_CASES = 3000
@@ -159,15 +158,6 @@ def test_fuzzed_files_parse_as_the_line_parser_parses_them(block_tokens, monkeyp
     assert differ == []
     # both paths are exercised: valid plain files, and everything else
     assert FUZZ_CASES // 10 < plain < FUZZ_CASES * 2 // 5
-
-
-def tiered_profile(n: int, m: int, tier: int, seed: int) -> PreferenceProfile:
-    """Uniform random orders cut into tie groups of `tier` consecutive houses."""
-    rng = np.random.default_rng(seed)
-    orders = np.argsort(rng.random((n, m)), axis=1)
-    ranks = np.empty((n, m), dtype=np.int64)
-    np.put_along_axis(ranks, orders, np.arange(m) // tier * tier + 1, axis=1)
-    return PreferenceProfile(n, m, tuple(map(tuple, ranks.tolist())))
 
 
 BENCH_SIZES = [(100, 200, 1), (200, 400, 50), (200, 3179, 1)]

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import tie_profiles, top_choices, weakly_prefers
 from efhouse.prefs import (
+    WORST_RANK,
     PreferenceProfile,
     ProfileError,
     _parse_lines,
@@ -20,22 +22,22 @@ def test_parse_strict_profile():
     profile = parse_profile(GOLDEN)
     assert profile.n_agents == 2
     assert profile.n_houses == 3
-    assert profile.ranks == ((1, 2, 3), (1, 3, 2))
+    assert profile.ranks.tolist() == [[1, 2, 3], [1, 3, 2]]
 
 
 def test_parse_smallest_instance():
     profile = parse_profile("1 1\n1")
-    assert profile.ranks == ((1,),)
+    assert profile.ranks.tolist() == [[1]]
 
 
 def test_parse_ties_use_group_first_position():
     profile = parse_profile("2 3\n1 = 2 > 3\n3 > 1 = 2")
-    assert profile.ranks == ((1, 1, 3), (2, 2, 1))
+    assert profile.ranks.tolist() == [[1, 1, 3], [2, 2, 1]]
 
 
 def test_parse_ignores_whitespace_and_trailing_newlines():
     profile = parse_profile("2 3\n  1>2 =3\n3 > 2>1  \n\n")
-    assert profile.ranks == ((1, 2, 2), (3, 2, 1))
+    assert profile.ranks.tolist() == [[1, 2, 2], [3, 2, 1]]
 
 
 PARSE_ERRORS = [
@@ -95,13 +97,120 @@ ACCEPTED = [
 @pytest.mark.parametrize("text, ranks", ACCEPTED, ids=[repr(text) for text, _ in ACCEPTED])
 def test_parse_accepts_every_form_the_line_parser_accepts(text, ranks):
     profile = parse_profile(text)
-    assert profile.ranks == ranks
+    assert profile.ranks.tolist() == [list(row) for row in ranks]
     assert profile == _parse_lines(text)
 
 
 def test_profile_rejects_ragged_ranks():
     with pytest.raises(ProfileError):
         PreferenceProfile(2, 2, ((1, 2), (1,)))
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        (((1, 2),), "expected 2 rank rows, got 1"),
+        ([[1, 2], [1]], "expected 2 ranks per agent, got 1"),
+        (np.array([[1, 2]]), "expected 2 rank rows, got 1"),
+        (np.array([[1, 2, 3], [1, 2, 3]]), "expected 2 ranks per agent, got 3"),
+        (np.array([1, 2, 1, 2]), "ranks must form a 2 x 2 matrix, got shape (4,)"),
+    ],
+    ids=["tuple rows", "list row", "array rows", "array row", "flat array"],
+)
+def test_profile_shape_errors(ranks, message):
+    with pytest.raises(ProfileError) as err:
+        PreferenceProfile(2, 2, ranks)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        ((1, 1.5),),
+        ((1.0, 2.0),),
+        np.array([[1.0, 2.0]]),
+        ((1, "2"),),
+        ((True, False),),
+        ((1, 2**63),),
+        ((1, -(2**63) - 1),),
+        ((1, 2**70),),
+        ((1, WORST_RANK),),
+        np.array([[1, 2**63]], dtype=np.uint64),
+        np.array([[1, WORST_RANK]]),
+    ],
+)
+def test_profile_rejects_ranks_that_are_not_int64_below_the_sentinel(ranks):
+    with pytest.raises(ProfileError):
+        PreferenceProfile(1, 2, ranks)
+
+
+def test_profile_accepts_negative_sparse_and_extreme_ranks():
+    low = -(2**63)
+    profile = PreferenceProfile(1, 4, ((-5, 10**12, low, WORST_RANK - 1),))
+    assert profile.ranks.tolist() == [[-5, 10**12, low, WORST_RANK - 1]]
+    assert profile.ranks.dtype == np.int64
+    small = PreferenceProfile(1, 2, np.array([[2, 1]], dtype=np.int8))
+    assert small.ranks.dtype == np.int64 and small.ranks.tolist() == [[2, 1]]
+
+
+def test_profile_copies_writeable_arrays_and_is_read_only():
+    ranks = np.array([[1, 2], [2, 1]])
+    profile = PreferenceProfile(2, 2, ranks)
+    ranks[0, 0] = 9
+    assert profile.ranks.tolist() == [[1, 2], [2, 1]]
+    assert not profile.ranks.flags.writeable
+    with pytest.raises(ValueError):
+        profile.ranks[0, 0] = 9
+    # a read-only view of a writeable array would still follow its base
+    base = np.array([[1, 2], [2, 1]])
+    view = base.view()
+    view.flags.writeable = False
+    profile = PreferenceProfile(2, 2, view)
+    base[0, 0] = 9
+    assert profile.ranks.tolist() == [[1, 2], [2, 1]]
+
+
+def test_profile_equality_compares_shape_and_values():
+    from_rows = PreferenceProfile(2, 2, ((1, 2), (2, 1)))
+    from_array = PreferenceProfile(2, 2, np.array([[1, 2], [2, 1]], dtype=np.int32))
+    assert from_rows == from_array and hash(from_rows) == hash(from_array)
+    assert len({from_rows, from_array}) == 1
+    assert from_rows != PreferenceProfile(2, 2, ((1, 2), (1, 2)))
+    assert PreferenceProfile(1, 4, ((1, 2, 2, 1),)) != PreferenceProfile(2, 2, ((1, 2), (2, 1)))
+    assert from_rows != ((1, 2), (2, 1))
+
+
+def test_parsed_profiles_hold_read_only_int64_arrays():
+    for text in (GOLDEN, "2 3\n1 > 2 > 3\f\n1 > 3 > 2"):  # plain file, line parser
+        ranks = parse_profile(text).ranks
+        assert ranks.dtype == np.int64 and ranks.shape == (2, 3)
+        assert not ranks.flags.writeable
+
+
+# every break `str.splitlines` knows beyond the three newlines `open()` translates
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=[repr(c) for c in NOT_NEWLINES])
+def test_line_breaks_other_than_newlines_are_whitespace_in_a_ranking(char):
+    profile = parse_profile(f"1 3\n1 > 2{char} > 3\n")
+    assert profile.ranks.tolist() == [[1, 2, 3]]
+
+
+def test_form_feed_inside_a_ranking_is_one_line():
+    assert parse_profile("1 3\n1 > 2\f > 3\n").ranks.tolist() == [[1, 2, 3]]
+    assert parse_profile("2 3\n1 > 2 >\f3\n3 = 1 > 2\n").ranks.tolist() == [[1, 2, 3], [1, 3, 1]]
+
+
+def test_error_line_numbers_count_only_newlines():
+    with pytest.raises(ProfileError) as err:
+        parse_profile("2 3\n1 > 2\u2028> 3\n1 > 3 > x\n")
+    assert str(err.value) == "line 3: not a house id: 'x'"
+    for ending in ("\n", "\r\n", "\r"):
+        with pytest.raises(ProfileError) as err:
+            parse_profile(ending.join(["2 3", "1 > 2 > 3", ""]))
+        assert str(err.value) == "line 3: expected rankings for 2 agents, found only 1"
+    assert parse_profile("2 3\r1 > 2 > 3\r1 > 3 > 2\r").ranks.tolist() == [[1, 2, 3], [1, 3, 2]]
 
 
 def test_top_choices_golden_agent_one():
@@ -177,4 +286,4 @@ def test_weak_preference_is_total_and_transitive(profile):
 
 @given(tie_profiles())
 def test_format_parse_round_trip(profile):
-    assert parse_profile(format_profile(profile)).ranks == profile.ranks
+    assert parse_profile(format_profile(profile)).ranks.tolist() == profile.ranks.tolist()

@@ -20,7 +20,14 @@ from efhouse.solver import Assignment, InvalidInstanceError, verify_envy_free
 
 def test_single_house_forces_trivial_ranking():
     profile = sample_strict_profile(4, 1, seed=3)
-    assert profile.ranks == ((1,), (1,), (1,), (1,))
+    assert profile.ranks.tolist() == [[1], [1], [1], [1]]
+
+
+def test_sampled_profiles_hold_read_only_int64_arrays():
+    for profile in (sample_strict_profile(3, 5, seed=1), utilities_to_profile(sample_utilities(3, 5, seed=1))):
+        assert profile.ranks.dtype == np.int64 and profile.ranks.shape == (3, 5)
+        assert not profile.ranks.flags.writeable
+        assert sorted(profile.ranks[0].tolist()) == [1, 2, 3, 4, 5]
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -39,7 +46,7 @@ def test_negative_seed_rejected():
 def test_strict_rankings_are_uniform():
     # 60000 iid agent rows over 3 houses; each of the 6 orders within 3 sigma of 1/6
     profile = sample_strict_profile(60000, 3, seed=2025)
-    counts = Counter(profile.ranks)
+    counts = Counter(map(tuple, profile.ranks.tolist()))
     assert set(counts) == set(itertools.permutations((1, 2, 3)))
     expected = 60000 / 6
     tolerance = 3 * math.sqrt(60000 * (1 / 6) * (5 / 6))
@@ -49,12 +56,12 @@ def test_strict_rankings_are_uniform():
 
 def test_utilities_to_profile_sorts_by_decreasing_utility():
     profile = utilities_to_profile(UtilityMatrix(np.array([[0.9, 0.2, 0.5]])))
-    assert profile.ranks == ((1, 3, 2),)
+    assert profile.ranks.tolist() == [[1, 3, 2]]
 
 
 def test_ascending_utilities_reverse_house_order():
     profile = utilities_to_profile(UtilityMatrix(np.array([[0.1, 0.2, 0.3, 0.4]])))
-    assert profile.ranks == ((4, 3, 2, 1),)
+    assert profile.ranks.tolist() == [[4, 3, 2, 1]]
 
 
 def test_utilities_to_profile_matches_per_row_sort():
@@ -65,14 +72,14 @@ def test_utilities_to_profile_matches_per_row_sort():
         expected = []
         for row in values:
             order = sorted(range(m), key=lambda h: (-row[h], h))
-            expected.append(tuple(order.index(h) + 1 for h in range(m)))
-        assert utilities_to_profile(UtilityMatrix(values)).ranks == tuple(expected)
+            expected.append([order.index(h) + 1 for h in range(m)])
+        assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == expected
 
 
 def test_utility_path_matches_uniform_ranking_distribution():
     # rankings induced by uniform utilities should be uniform over all 3! orders
     profile = utilities_to_profile(sample_utilities(30000, 3, seed=77))
-    counts = Counter(profile.ranks)
+    counts = Counter(map(tuple, profile.ranks.tolist()))
     result = scipy_stats.chisquare(
         [counts[p] for p in itertools.permutations((1, 2, 3))]
     )

@@ -11,8 +11,10 @@ from conftest import (
     random_tie_profile,
     reference_matching_sizes,
     tie_profiles,
+    tiered_profile,
     top_choices,
 )
+from efhouse import solver
 from efhouse.bigraph import BipartiteGraph, maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import PreferenceProfile, parse_profile
@@ -197,6 +199,43 @@ def test_found_assignment_is_the_maximum_matching_of_the_last_pass():
         by_agent = maximum_matching(trace.iterations[-1].graph).left_to_right()
         assert assignment.houses == tuple(by_agent[a] for a in range(1, n + 1))
     assert found > 50
+
+
+# tie tiers of 50 and 10 with popularity-correlated orders, where nearly
+# every row goes stale on every pass, and strict rows at m = 3 n ln n
+WIDE = [(200, 400, 50, 0.95), (60, 600, 10, 0.95), (200, 3179, 1, 0.0)]
+
+
+@pytest.fixture(scope="module", params=WIDE, ids=[f"{n}x{m}/{t}" for n, m, t, _ in WIDE])
+def wide_solve(request):
+    n, m, tier, popularity = request.param
+    profile = tiered_profile(n, m, tier, seed=n + m + tier, popularity=popularity)
+    return profile, envy_free_assignment(profile)[1]
+
+
+def test_favorites_rows_fresh_on_wide_tiers_and_strict_rows(wide_solve):
+    profile, trace = wide_solve
+    assert len(trace.iterations) > 3
+    assert_favorites_rows_fresh(profile, trace)
+
+
+def test_favorites_rows_hold_plain_ints(wide_solve):
+    _, trace = wide_solve
+    for rec in trace.iterations:
+        assert all(type(house) is int for row in rec.graph.adj for house in row)
+        assert all(type(house) is int for house in rec.available)
+    json.dumps(result_json(trace))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7])
+def test_block_size_does_not_change_the_trace(wide_solve, rows_per_block, monkeypatch):
+    # 7 rows divide none of the agent counts, so the last block is short
+    profile, trace = wide_solve
+    assert profile.n_agents % 7
+    monkeypatch.setattr(solver, "_BLOCK_CELLS", rows_per_block * profile.n_houses)
+    _, blocked = envy_free_assignment(profile)
+    assert result_json(blocked) == result_json(trace)
+    assert [rec.graph for rec in blocked.iterations] == [rec.graph for rec in trace.iterations]
 
 
 def assert_favorites_rows_fresh(profile, trace):
