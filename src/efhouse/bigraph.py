@@ -138,20 +138,28 @@ def _closed_trees(
     matching and closes the same trees. Each yielded tree is the ``parents``
     map of `_alternating_tree`.
     """
+    adj = graph.adj
     dead: set[int] = set()
     for start in range(1, graph.n_left + 1):
-        goal, parents = _alternating_tree(graph, start, owner, dead)
-        if goal is None:
-            yield parents
-            # a failed tree is closed: each right vertex it touches is matched
-            # inside it, so no later augmenting path can enter it
-            dead.update(parents)
-            continue
-        step: tuple[int, int] | None = goal
-        while step is not None:
-            x, y = step
-            owner[y] = x
-            step = parents[x]
+        # the tree's first step scans start's own row and stops at its first
+        # free right vertex, so claim that vertex without growing the tree
+        for y in adj[start - 1]:
+            if y not in owner:
+                owner[y] = start
+                break
+        else:
+            goal, parents = _alternating_tree(graph, start, owner, dead)
+            if goal is None:
+                yield parents
+                # a failed tree is closed: each right vertex it touches is
+                # matched inside it, so no later augmenting path can enter it
+                dead.update(parents)
+                continue
+            step: tuple[int, int] | None = goal
+            while step is not None:
+                x, y = step
+                owner[y] = x
+                step = parents[x]
 
 
 def maximum_matching(graph: BipartiteGraph) -> Matching:

@@ -151,13 +151,14 @@ def _resolve_house_counts(args: argparse.Namespace) -> range:
         raise ProfileError("one of --m or --sweep is required")
     if args.m == "3nlogn":
         m = math.ceil(3 * args.n * math.log(args.n))
-        return range(m, m + 1)
-    try:
-        m = int(args.m)
-    except ValueError:
-        raise ProfileError(f"--m must be an integer or `3nlogn`, got {args.m!r}") from None
+    else:
+        try:
+            m = int(args.m)
+        except ValueError:
+            raise ProfileError(f"--m must be an integer or `3nlogn`, got {args.m!r}") from None
     if m < 1:
-        raise ProfileError("--m must be positive")
+        resolved = f"; `3nlogn` gives {m} at --n {args.n}" if args.m == "3nlogn" else ""
+        raise ProfileError(f"--m must be positive{resolved}")
     return range(m, m + 1)
 
 

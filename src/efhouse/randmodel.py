@@ -80,20 +80,52 @@ def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
     return UtilityMatrix(_generator(seed).random((n, m)))
 
 
+# `Generator.random` returns multiples of 2**-53, so a utility u on that grid
+# is the exact step u * 2**53 in 0..2**53; those 54 bits leave 9 of an int64
+# key's 63 value bits for a house index below them
+_INDEX_BITS = 9
+
+
 def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     """Strict ranking per agent by decreasing utility.
 
     Exact utility ties have probability zero under any non-atomic draw; if
     they occur anyway they break toward the lower house id.
     """
-    return _profile_from_orders(np.argsort(-utilities.values, axis=1, kind="stable"))
+    orders = _packed_orders(utilities.values)
+    if orders is None:
+        orders = np.argsort(-utilities.values, axis=1, kind="stable")
+    return _profile_from_orders(orders)
+
+
+def _packed_orders(values: np.ndarray) -> np.ndarray | None:
+    """The stable ``argsort(-values)`` orders from one int64 value sort, or None.
+
+    Each key holds ``2**53 - u * 2**53`` above the house index, so ascending
+    keys run by decreasing utility and, within a tie, by increasing index.
+    None when a row is too long to pack or a value is off the 2**-53 grid.
+    """
+    m = values.shape[1]
+    index_bits = (m - 1).bit_length()
+    if values.dtype != np.float64 or index_bits > _INDEX_BITS:
+        return None
+    scaled = values * 2.0**53  # exact: a power-of-two scale
+    keys = scaled.astype(np.int64)
+    if not (keys == scaled).all():
+        return None
+    np.subtract(1 << 53, keys, out=keys)
+    keys <<= index_bits
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    keys &= (1 << index_bits) - 1
+    return keys
 
 
 def _profile_from_orders(orders: np.ndarray) -> PreferenceProfile:
     """Profile whose agent ``i`` prefers house ``orders[i, k] + 1`` k-th."""
     n, m = orders.shape
     ranks = np.empty((n, m), dtype=np.int64)
-    np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
+    ranks[np.arange(n)[:, None], orders] = np.arange(1, m + 1)
     ranks.flags.writeable = False  # handed over, not copied
     return PreferenceProfile(n, m, ranks)
 
@@ -137,6 +169,8 @@ def estimate_existence_probability(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if n < 1:
+        raise ValueError("need at least one agent and one house")
     require_enough_houses(n, m)
     successes = 0
     mechanism_successes = 0

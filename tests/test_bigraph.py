@@ -15,7 +15,9 @@ from conftest import (
 )
 from efhouse.bigraph import (
     BipartiteGraph,
+    HallViolator,
     Matching,
+    _alternating_tree,
     format_alternating_digraph,
     hall_violator,
     maximum_matching,
@@ -188,6 +190,59 @@ def test_violator_or_matching_is_the_violator_else_the_maximum_matching():
             assert found == hall_violator(g)
             assert found.vertices == reach
     assert 50 < saturating < 350  # both outcomes are exercised
+
+
+def tree_per_start_closed_trees(g: BipartiteGraph, owner: dict[int, int]):
+    """Reference: the augmenting loop that grows a tree from every start, no direct claims."""
+    dead: set[int] = set()
+    for start in range(1, g.n_left + 1):
+        goal, parents = _alternating_tree(g, start, owner, dead)
+        if goal is None:
+            yield parents
+            dead.update(parents)
+            continue
+        step = goal
+        while step is not None:
+            x, y = step
+            owner[y] = x
+            step = parents[x]
+
+
+def test_direct_claims_match_a_tree_from_every_start():
+    rng = random.Random(4242)
+    outcomes = {"violator": 0, "matching": 0}
+    for trial in range(3000):
+        n_left, n_right = rng.randint(0, 14), rng.randint(0, 16)
+        if trial % 3 == 0:
+            # wide, overlapping rows: intervals that share most right vertices
+            rows = []
+            for _ in range(n_left):
+                lo = rng.randint(1, max(1, n_right // 3))
+                hi = rng.randint(lo - 1, n_right)
+                rows.append(tuple(range(lo, hi + 1)))
+        else:
+            density = rng.choice((0.0, 0.05, 0.2, 0.5, 0.9))
+            rows = [
+                tuple(y for y in range(1, n_right + 1) if rng.random() < density)
+                for _ in range(n_left)
+            ]
+        if rows and trial % 5 == 0:
+            rows[rng.randrange(len(rows))] = ()  # an agent with no neighbor
+        g = BipartiteGraph(n_left, n_right, tuple(rows))
+        owner: dict[int, int] = {}
+        tree = next(tree_per_start_closed_trees(g, owner), None)
+        if tree is None:
+            outcomes["matching"] += 1
+            assert violator_or_matching(g) == Matching(frozenset((x, y) for y, x in owner.items()))
+        else:
+            outcomes["violator"] += 1
+            removed = frozenset(step[1] for step in tree.values() if step is not None)
+            assert violator_or_matching(g) == HallViolator(frozenset(tree), removed), trial
+        owner = {}
+        for _ in tree_per_start_closed_trees(g, owner):
+            pass
+        assert maximum_matching(g) == Matching(frozenset((x, y) for y, x in owner.items())), trial
+    assert min(outcomes.values()) > 500  # both outcomes are exercised
 
 
 def test_maximum_matching_size_matches_scipy_and_networkx():

@@ -164,6 +164,12 @@ def test_simulate_expands_logarithmic_house_count(capsys):
     assert fields[6] == "5"
 
 
+def test_simulate_names_3nlogn_when_it_gives_no_houses(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "1", "--m", "3nlogn", "--trials", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --m must be positive; `3nlogn` gives 0 at --n 1\n"
+
+
 def test_simulate_sweep_emits_one_row_per_house_count(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--n", "3", "--sweep", "3:9:3", "--trials", "20", "--seed", "2"

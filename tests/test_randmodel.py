@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from efhouse import randmodel
+from efhouse.prefs import PreferenceProfile
 from efhouse.randmodel import (
     MonteCarloStats,
     UtilityMatrix,
@@ -15,7 +17,12 @@ from efhouse.randmodel import (
     threshold_mechanism,
     utilities_to_profile,
 )
-from efhouse.solver import Assignment, InvalidInstanceError, verify_envy_free
+from efhouse.solver import (
+    Assignment,
+    InvalidInstanceError,
+    envy_free_assignment,
+    verify_envy_free,
+)
 
 
 def test_single_house_forces_trivial_ranking():
@@ -74,6 +81,79 @@ def test_utilities_to_profile_matches_per_row_sort():
             order = sorted(range(m), key=lambda h: (-row[h], h))
             expected.append([order.index(h) + 1 for h in range(m)])
         assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == expected
+
+
+def per_row_sort_ranks(values: np.ndarray) -> list[list[int]]:
+    """Reference ranks: each row sorted by decreasing value, ties toward the lower id."""
+    m = values.shape[1]
+    expected = []
+    for row in values:
+        order = sorted(range(m), key=lambda h: (-row[h], h))
+        ranks = [0] * m
+        for position, house in enumerate(order, start=1):
+            ranks[house] = position
+        expected.append(ranks)
+    return expected
+
+
+PACKING_BOUND = 512  # the widest rows whose keys fit: 54 utility bits + 9 index bits
+
+
+def on_grid_cases():
+    # every value here is a multiple of 2**-53, so the packed sort can take it
+    rng = np.random.default_rng(21)
+    yield pytest.param(rng.integers(0, 9, size=(7, 13)) / 8, id="eighths")  # many ties per row
+    signed = [[0.0, -0.0, 1.0, 0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 1.0, -0.0, 1.0]]
+    yield pytest.param(np.array(signed), id="signed-zeros")
+    yield pytest.param(rng.integers(0, 5, size=(1, 9)) / 4, id="one-agent")
+    yield pytest.param(np.array([[0.25], [1.0], [0.0]]), id="one-house")
+    yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND)) / 64, id="at-bound")
+    yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND + 1)) / 64, id="above-bound")
+    yield pytest.param(sample_utilities(6, 40, seed=5).values, id="drawn")
+    yield pytest.param(sample_utilities(4, PACKING_BOUND, seed=6).values, id="drawn-at-bound")
+
+
+@pytest.mark.parametrize("values", on_grid_cases())
+def test_on_grid_utilities_rank_like_a_per_row_sort(values):
+    profile = utilities_to_profile(UtilityMatrix(values))
+    assert profile.ranks.tolist() == per_row_sort_ranks(values)
+    assert profile.ranks.dtype == np.int64 and not profile.ranks.flags.writeable
+    packed = randmodel._packed_orders(values)
+    assert (packed is None) == (values.shape[1] > PACKING_BOUND)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[0.5, 0.1, 0.5, 1.0]]),  # one value off the grid
+        np.array([[0.5, 0.25, 0.5, 1.0]], dtype=np.float32),
+        np.array([[1, 0, 1, 0]]),
+    ],
+)
+def test_other_utilities_take_the_argsort_path(values):
+    assert randmodel._packed_orders(values) is None
+    assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == per_row_sort_ranks(values)
+
+
+def argsort_existence_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, int]:
+    """Reference for `estimate_existence_probability`: ranks from the stable argsort."""
+    successes = mechanism_successes = 0
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+        values = rng.random((n, m))
+        orders = np.argsort(-values, axis=1, kind="stable")
+        ranks = np.empty((n, m), dtype=np.int64)
+        np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
+        found, _ = envy_free_assignment(PreferenceProfile(n, m, ranks))
+        successes += found is not None
+        mechanism_successes += threshold_mechanism(UtilityMatrix(values)) is not None
+    return successes, mechanism_successes
+
+
+@pytest.mark.parametrize("n, m, trials", [(20, 20, 150), (20, 180, 60), (12, 600, 15)])
+def test_estimate_matches_argsort_ranking(n, m, trials):
+    stats = estimate_existence_probability(n, m, trials=trials, seed=13)
+    assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, trials, 13)
 
 
 def test_utility_path_matches_uniform_ranking_distribution():
@@ -245,6 +325,16 @@ def test_estimate_rejects_bad_parameters():
         estimate_existence_probability(2, 4, trials=0, seed=1)
     with pytest.raises(InvalidInstanceError):
         estimate_existence_probability(4, 2, trials=10, seed=1)
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (0, 0), (-1, 2)])
+def test_estimate_rejects_no_agents_before_drawing(n, m, monkeypatch):
+    def no_draw(*key):
+        raise AssertionError("drew utilities for an instance without agents")
+
+    monkeypatch.setattr(randmodel, "_generator", no_draw)
+    with pytest.raises(ValueError, match=r"^need at least one agent"):
+        estimate_existence_probability(n, m, trials=5, seed=1)
 
 
 def test_stats_validation():
