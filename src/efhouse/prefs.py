@@ -189,7 +189,7 @@ _BYTE_KIND[ord("0") : ord("9") + 1] = range(10)
 _BYTE_KIND[ord(">")] = _GT
 _BYTE_KIND[ord("=")] = _EQ
 _BYTE_KIND[ord(" ")] = _BYTE_KIND[ord("\t")] = _BYTE_KIND[ord("\n")] = _BLANK
-_BLOCK_TOKENS = 1 << 11  # bounds the temporaries of one block of rows
+_BLOCK_TOKENS = 1 << 12  # bounds the temporaries of one block of rows
 
 
 def _parse_plain(text: str) -> PreferenceProfile | None:

@@ -70,7 +70,8 @@ def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one house")
     rng = _generator(seed)
-    return _profile_from_orders(np.stack([rng.permutation(m) for _ in range(n)]))
+    orders = np.stack([rng.permutation(m) for _ in range(n)])
+    return PreferenceProfile(n, m, _ranks_from_orders(orders))
 
 
 def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
@@ -95,17 +96,19 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     orders = _packed_orders(utilities.values)
     if orders is None:
         orders = np.argsort(-utilities.values, axis=1, kind="stable")
-    return _profile_from_orders(orders)
+    return PreferenceProfile(*orders.shape, _ranks_from_orders(orders))
 
 
-def _packed_orders(values: np.ndarray) -> np.ndarray | None:
-    """The stable ``argsort(-values)`` orders from one int64 value sort, or None.
+def _packed_keys(values: np.ndarray) -> np.ndarray | None:
+    """Rank keys for each row of ``values`` along its last axis, or None.
 
-    Each key holds ``2**53 - u * 2**53`` above the house index, so ascending
-    keys run by decreasing utility and, within a tie, by increasing index.
-    None when a row is too long to pack or a value is off the 2**-53 grid.
+    Each key holds ``2**53 - u * 2**53`` above the house index, so the keys
+    of a row are distinct, and ascending keys run by decreasing utility and,
+    within a tie, by increasing index: the stable ``argsort(-values)``
+    order. None when a row is too long to pack or a value is off the 2**-53
+    grid.
     """
-    m = values.shape[1]
+    m = values.shape[-1]
     index_bits = (m - 1).bit_length()
     if values.dtype != np.float64 or index_bits > _INDEX_BITS:
         return None
@@ -116,18 +119,26 @@ def _packed_orders(values: np.ndarray) -> np.ndarray | None:
     np.subtract(1 << 53, keys, out=keys)
     keys <<= index_bits
     keys |= np.arange(m)
-    keys.sort(axis=1)
-    keys &= (1 << index_bits) - 1
     return keys
 
 
-def _profile_from_orders(orders: np.ndarray) -> PreferenceProfile:
-    """Profile whose agent ``i`` prefers house ``orders[i, k] + 1`` k-th."""
-    n, m = orders.shape
-    ranks = np.empty((n, m), dtype=np.int64)
-    ranks[np.arange(n)[:, None], orders] = np.arange(1, m + 1)
-    ranks.flags.writeable = False  # handed over, not copied
-    return PreferenceProfile(n, m, ranks)
+def _packed_orders(values: np.ndarray) -> np.ndarray | None:
+    """The stable ``argsort(-values)`` orders from one int64 sort of `_packed_keys`, or None."""
+    keys = _packed_keys(values)
+    if keys is None:
+        return None
+    keys.sort(axis=-1)
+    keys &= (1 << (values.shape[-1] - 1).bit_length()) - 1
+    return keys
+
+
+def _ranks_from_orders(orders: np.ndarray) -> np.ndarray:
+    """Read-only dense ranks whose row ``i`` ranks house ``orders[i, k] + 1`` k-th."""
+    rows, m = orders.shape
+    ranks = np.empty((rows, m), dtype=np.int64)
+    ranks[np.arange(rows)[:, None], orders] = np.arange(1, m + 1)
+    ranks.flags.writeable = False  # a profile takes it over without a copy
+    return ranks
 
 
 def threshold_mechanism(utilities: UtilityMatrix) -> Assignment | None:
@@ -143,18 +154,36 @@ def threshold_mechanism(utilities: UtilityMatrix) -> Assignment | None:
     a favorite house.
     """
     values = utilities.values
-    n, m = values.shape
-    if n == 1:
+    if values.shape[0] == 1:
         return Assignment((int(np.argmax(values[0])) + 1,))
-    cutoff = 1.0 - 1.0 / n
-    above = values >= cutoff
-    claimable = np.flatnonzero(above.sum(axis=0) == 1)
-    # each claimable house's only claimer; an agent's first entry is its
-    # lowest-id house
-    agents, first = np.unique(above[:, claimable].argmax(axis=0), return_index=True)
-    if len(agents) < n:
+    claims = _claims(values)
+    if not _serves_everyone(claims):
         return None
-    return Assignment(tuple((claimable[first] + 1).tolist()))
+    # the scan serves each agent its lowest-id claimable house
+    return Assignment(tuple((claims.argmax(axis=1) + 1).tolist()))
+
+
+def _claims(values: np.ndarray) -> np.ndarray:
+    """The `threshold_mechanism` claims of every ``(n, m)`` matrix in ``values``.
+
+    Agent i may claim house h when only agent i values h at or above the
+    cutoff ``1 - 1/n``; the scan serves every agent exactly when each one
+    may claim some house. With one agent the cutoff is 0, so every house
+    is claimable and the agent is always served.
+    """
+    n = values.shape[-2]
+    above = values >= 1.0 - 1.0 / n
+    return above & (above.sum(axis=-2, keepdims=True) == 1)
+
+
+def _serves_everyone(claims: np.ndarray) -> np.ndarray:
+    """Whether the mechanism serves every agent, for every ``(n, m)`` matrix of `_claims`."""
+    return claims.any(axis=-1).all(axis=-1)
+
+
+# bounds the cells of one chunk of trials: its utility buffer and the
+# temporaries ranked and claimed from it
+_CHUNK_CELLS = 1 << 14
 
 
 def estimate_existence_probability(
@@ -166,22 +195,34 @@ def estimate_existence_probability(
     ordinal profile, and also runs the threshold mechanism on the same
     utilities; both success counts land in the returned stats. Fixed
     (n, m, trials, seed) always reproduces the same numbers.
+
+    Trials run in chunks of up to ``_CHUNK_CELLS // (n * m)``: each trial
+    draws into the chunk's buffer and is solved on its own, while checking,
+    ranking and the mechanism each take one pass over the whole chunk.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if n < 1:
         raise ValueError("need at least one agent and one house")
     require_enough_houses(n, m)
+    chunk = max(1, _CHUNK_CELLS // (n * m))
+    buffer = np.empty((min(chunk, trials), n, m))
     successes = 0
     mechanism_successes = 0
-    for trial in range(trials):
-        utilities = UtilityMatrix(_generator(seed, trial).random((n, m)))
-        profile = utilities_to_profile(utilities)
-        found, _ = envy_free_assignment(profile)
-        if found is not None:
-            successes += 1
-        if threshold_mechanism(utilities) is not None:
-            mechanism_successes += 1
+    for first in range(0, trials, chunk):
+        values = buffer[: trials - first]
+        for i in range(len(values)):
+            _generator(seed, first + i).random(out=values[i])
+        rows = UtilityMatrix(values.reshape(-1, m)).values
+        # a trial's keys order its houses as dense ranks would, and the
+        # solver reads nothing but that order
+        ranks = _packed_keys(rows)
+        if ranks is None:
+            ranks = _ranks_from_orders(np.argsort(-rows, axis=1, kind="stable"))
+        for trial_ranks in ranks.reshape(values.shape):
+            found, _ = envy_free_assignment(PreferenceProfile(n, m, trial_ranks))
+            successes += found is not None
+        mechanism_successes += int(_serves_everyone(_claims(values)).sum())
     return MonteCarloStats(
         n_agents=n,
         n_houses=m,

@@ -12,6 +12,7 @@ houses) or fewer houses than agents (a proof of nonexistence).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -94,12 +95,7 @@ def envy_free_assignment(
     """
     n, m = profile.n_agents, profile.n_houses
     require_enough_houses(n, m)
-    # favorites rows share these int objects; an id above 256 would
-    # otherwise be a fresh int in every row that holds it
-    house_ids = np.array(range(1, m + 1), dtype=object)
-    # as many rows of ids as a scan block has rows, all views of the one row
-    id_block = np.broadcast_to(house_ids, (max(1, _BLOCK_CELLS // m), m))
-    available = frozenset(house_ids.tolist())
+    id_block, available = _house_ids(m, max(1, _BLOCK_CELLS // m))
     records: list[IterationRecord] = []
     assignment: Assignment | None = None
     # removed houses are masked with a rank worse than any real one, so the
@@ -130,6 +126,20 @@ def envy_free_assignment(
 
 
 _BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows
+
+
+# a sweep changes m once per row, so the last pool is the one asked for again
+@lru_cache(maxsize=1)
+def _house_ids(m: int, rows: int) -> tuple[np.ndarray, frozenset[int]]:
+    """House ids 1..m as ``rows`` read-only rows of one object pool, and as a set.
+
+    Favorites rows share the pool's int objects; an id above 256 would
+    otherwise be a fresh int in every row that holds it. Every row of the
+    block is a view of the one pool row.
+    """
+    pool = np.array(range(1, m + 1), dtype=object)
+    pool.flags.writeable = False
+    return np.broadcast_to(pool, (rows, m)), frozenset(pool.tolist())
 
 
 def _favorites(

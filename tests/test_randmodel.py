@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from efhouse import randmodel
+from efhouse import cli, randmodel
 from efhouse.prefs import PreferenceProfile
 from efhouse.randmodel import (
     MonteCarloStats,
@@ -21,6 +22,7 @@ from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
     envy_free_assignment,
+    result_json,
     verify_envy_free,
 )
 
@@ -156,6 +158,89 @@ def test_estimate_matches_argsort_ranking(n, m, trials):
     assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, trials, 13)
 
 
+def chunk_trials(n: int, m: int) -> int:
+    return max(1, randmodel._CHUNK_CELLS // (n * m))
+
+
+@pytest.mark.parametrize("n, m", [(20, 20), (20, 180)])
+@pytest.mark.parametrize("past_chunk", [-1, 0, 1])
+def test_estimate_matches_argsort_ranking_at_chunk_boundaries(n, m, past_chunk):
+    trials = chunk_trials(n, m) + past_chunk
+    stats = estimate_existence_probability(n, m, trials=trials, seed=17)
+    assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, trials, 17)
+
+
+@pytest.mark.parametrize(
+    "n, m, trials",
+    [
+        pytest.param(1, 5, 60, id="one-agent"),
+        pytest.param(1, 1, 3, id="one-agent-one-house"),
+        pytest.param(3, PACKING_BOUND, 11, id="packed-at-bound"),  # two chunks of 10
+        pytest.param(3, PACKING_BOUND + 1, 11, id="argsort-above-bound"),
+    ],
+)
+def test_estimate_matches_argsort_ranking_on_small_and_wide_rows(n, m, trials):
+    assert trials > chunk_trials(n, m) or n == 1
+    stats = estimate_existence_probability(n, m, trials=trials, seed=23)
+    assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, trials, 23)
+
+
+@pytest.mark.parametrize("cells", [1, 40, 100])
+def test_chunk_size_does_not_change_the_estimate(cells, monkeypatch):
+    # chunks of 1, 2 and 5 trials at (4, 5), with a short last chunk
+    expected = argsort_existence_counts(4, 5, 23, 29)
+    monkeypatch.setattr(randmodel, "_CHUNK_CELLS", cells)
+    stats = estimate_existence_probability(4, 5, trials=23, seed=29)
+    assert (stats.successes, stats.mechanism_successes) == expected
+
+
+def test_sweep_rows_match_single_house_count_runs(capsys):
+    args = ["simulate", "--n", "6", "--trials", "45", "--seed", "3"]
+    assert cli.main(args + ["--sweep", "6:14:4"]) == 0
+    header, *swept = capsys.readouterr().out.splitlines()
+    single = []
+    for m in (6, 10, 14):
+        assert cli.main(args + ["--m", str(m)]) == 0
+        single.append(capsys.readouterr().out.splitlines()[1])
+    assert swept == single
+    for row, m in zip(swept, (6, 10, 14)):
+        successes, mechanism_successes = argsort_existence_counts(6, m, 45, 3)
+        assert row.split(",")[:5] == ["6", str(m), "45", str(successes), str(mechanism_successes)]
+
+
+def key_ranked_profile(values: np.ndarray) -> PreferenceProfile:
+    """The profile `estimate_existence_probability` solves: packed keys as ranks."""
+    keys = randmodel._packed_keys(values)
+    assert keys is not None
+    return PreferenceProfile(*values.shape, keys)
+
+
+def solve_json(profile: PreferenceProfile) -> str:
+    _, trace = envy_free_assignment(profile)
+    return json.dumps(result_json(trace))
+
+
+@pytest.mark.parametrize("n, m", [(20, 20), (20, 180)])  # mostly none, then all found
+def test_key_ranks_solve_like_dense_ranks(n, m):
+    for seed in range(300):
+        utilities = sample_utilities(n, m, seed=seed)
+        dense = utilities_to_profile(utilities)
+        assert solve_json(key_ranked_profile(utilities.values)) == solve_json(dense)
+
+
+def test_key_ranks_of_tied_utilities_solve_like_dense_ranks():
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        m = n + int(rng.integers(0, 3 * n))
+        values = rng.integers(0, 9, size=(n, m)) / 8  # many ties per row
+        dense = utilities_to_profile(UtilityMatrix(values))
+        assert solve_json(key_ranked_profile(values)) == solve_json(dense)
+        statuses.add(envy_free_assignment(dense)[0] is None)
+    assert statuses == {False, True}
+
+
 def test_utility_path_matches_uniform_ranking_distribution():
     # rankings induced by uniform utilities should be uniform over all 3! orders
     profile = utilities_to_profile(sample_utilities(30000, 3, seed=77))
@@ -227,9 +312,9 @@ def greedy_threshold_mechanism(values: np.ndarray) -> Assignment | None:
     return Assignment(tuple(assigned[i] for i in range(n)))
 
 
-def test_threshold_mechanism_matches_the_greedy_scan():
+def seeded_mechanism_matrices():
+    """600 utility matrices, n = 1..12, with contested, tied and at-cutoff values."""
     rng = np.random.default_rng(56)
-    served = 0
     for trial in range(600):
         n = 1 + trial % 12
         m = n + int(rng.integers(0, 12 * n))
@@ -238,6 +323,13 @@ def test_threshold_mechanism_matches_the_greedy_scan():
             values = np.round(values, 1)  # shared values: contested and tied houses
         if trial % 4 == 0:
             values[rng.random((n, m)) < 0.3] = 1.0 - 1.0 / n  # exactly at the cutoff
+        yield trial, values
+
+
+def test_threshold_mechanism_matches_the_greedy_scan():
+    served = 0
+    for trial, values in seeded_mechanism_matrices():
+        n, m = values.shape
         expected = greedy_threshold_mechanism(values)
         got = threshold_mechanism(UtilityMatrix(values))
         assert got == expected, (trial, n, m)
@@ -245,6 +337,41 @@ def test_threshold_mechanism_matches_the_greedy_scan():
             served += 1
             assert all(type(house) is int for house in got.houses)
     assert 100 < served < 500  # both outcomes are exercised
+
+
+def chunk_mechanism_mask(values: np.ndarray) -> np.ndarray:
+    """The mechanism's per-matrix success mask, as `estimate_existence_probability` takes it."""
+    return randmodel._serves_everyone(randmodel._claims(values))
+
+
+def test_chunk_mechanism_mask_matches_threshold_mechanism():
+    by_shape: dict[tuple[int, int], list[np.ndarray]] = {}
+    for trial, values in seeded_mechanism_matrices():
+        served = threshold_mechanism(UtilityMatrix(values)) is not None
+        assert chunk_mechanism_mask(values) == served, trial
+        by_shape.setdefault(values.shape, []).append(values)
+    # the same rule over a stack of matrices, one result per matrix
+    stacks = [np.stack(group) for group in by_shape.values() if len(group) > 1]
+    assert sum(len(stack) for stack in stacks) > 100
+    for stack in stacks:
+        expected = [threshold_mechanism(UtilityMatrix(values)) is not None for values in stack]
+        assert chunk_mechanism_mask(stack).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "values, served",
+    [
+        pytest.param(np.zeros((3, 5)), False, id="all-below-cutoff"),
+        pytest.param(np.ones((3, 5)), False, id="all-contested"),
+        pytest.param(np.full((2, 4), 0.5), False, id="all-contested-at-cutoff"),
+        pytest.param(np.array([[0.5, 0.4, 0.0], [0.4, 0.0, 0.5]]), True, id="at-cutoff"),
+        pytest.param(np.zeros((1, 3)), True, id="one-agent"),
+    ],
+)
+def test_chunk_mechanism_mask_edge_matrices(values, served):
+    assert (threshold_mechanism(UtilityMatrix(values)) is not None) == served
+    assert chunk_mechanism_mask(values) == served
+    assert chunk_mechanism_mask(np.stack([values, values])).tolist() == [served, served]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])

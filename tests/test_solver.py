@@ -238,6 +238,22 @@ def test_block_size_does_not_change_the_trace(wide_solve, rows_per_block, monkey
     assert [rec.graph for rec in blocked.iterations] == [rec.graph for rec in trace.iterations]
 
 
+def test_house_id_pool_is_reused_across_house_counts():
+    # ids above 256 are not shared small ints, so they exercise the pool
+    profiles = [tiered_profile(30, m, 5, seed) for seed, m in enumerate((300, 40, 300, 40, 41))]
+    fresh = []
+    for profile in profiles:
+        solver._house_ids.cache_clear()
+        fresh.append(json.dumps(result_json(envy_free_assignment(profile)[1])))
+    reused = [json.dumps(result_json(envy_free_assignment(profile)[1])) for profile in profiles]
+    assert reused == fresh
+    id_block, available = solver._house_ids(41, 3)
+    assert available == set(range(1, 42)) and id_block.shape == (3, 41)
+    assert not id_block.flags.writeable
+    with pytest.raises(ValueError):
+        id_block.base[0] = 7  # the pool row every block row views
+
+
 def assert_favorites_rows_fresh(profile, trace):
     """Each pass's favorites rows equal a from-scratch ranking, and passes chain.
 
