@@ -150,9 +150,10 @@ def mismatches(seed: int, cases: int) -> tuple[list[str], int]:
     return differ, plain
 
 
-@pytest.mark.parametrize("block_tokens", [prefs._BLOCK_TOKENS, 4])
+@pytest.mark.parametrize("block_tokens", [prefs._BLOCK_TOKENS, 1 << 11, 4])
 def test_fuzzed_files_parse_as_the_line_parser_parses_them(block_tokens, monkeypatch):
-    # a tiny block reads every row, or every few rows, in a block of its own
+    # the default block, the smaller block it replaced, and a tiny block that
+    # reads every row, or every few rows, in a block of its own
     monkeypatch.setattr(prefs, "_BLOCK_TOKENS", block_tokens)
     differ, plain = mismatches(FUZZ_SEED + block_tokens, FUZZ_CASES // 2)
     assert differ == []
