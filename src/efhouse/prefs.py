@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ class PreferenceProfile:
     as a read-only ``(n_agents, n_houses)`` int64 array (``ranks.tolist()``
     gives Python rows). A writeable array is copied, so the caller's later
     writes do not reach the profile. Instances are immutable, hashable and
-    safe to share across threads.
+    safe to share across threads. `_stacked_profiles` builds simulated
+    trials' profiles without these checks and copies, under the conditions
+    its docstring states.
     """
 
     n_agents: int
@@ -89,9 +92,33 @@ def _rank_matrix(ranks, n: int, m: int) -> np.ndarray:
         ranks.flags.writeable = False
     if ranks.shape != (n, m):
         raise ProfileError(f"ranks must form a {n} x {m} matrix, got shape {ranks.shape}")
+    _require_below_worst_rank(ranks)
+    return ranks
+
+
+def _require_below_worst_rank(ranks: np.ndarray) -> None:
     if ranks.max() == WORST_RANK:
         raise ProfileError(f"rank values must lie below {WORST_RANK}")
-    return ranks
+
+
+def _stacked_profiles(ranks: np.ndarray) -> Iterator[PreferenceProfile]:
+    """A profile for each ``(n, m)`` matrix of the ``(k, n, m)`` int64 array ``ranks``.
+
+    The values are checked against ``WORST_RANK`` once for the whole stack,
+    and ``ranks`` is marked read-only; each profile then holds a view of its
+    matrix, with none of the constructor's other checks and no copy. The
+    caller must pass int64 ranks with n, m >= 1, and must not write to the
+    array ``ranks`` views while a profile is in use.
+    """
+    _require_below_worst_rank(ranks)
+    ranks.flags.writeable = False
+    _, n, m = ranks.shape
+    for matrix in ranks:
+        profile = object.__new__(PreferenceProfile)
+        object.__setattr__(profile, "n_agents", n)
+        object.__setattr__(profile, "n_houses", m)
+        object.__setattr__(profile, "ranks", matrix)
+        yield profile
 
 
 def parse_profile(text: str) -> PreferenceProfile:

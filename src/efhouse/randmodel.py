@@ -5,15 +5,24 @@ SeedSequence, which numpy guarantees to be stream-stable across versions;
 published statistics are therefore reproducible from the seed alone.
 Per-trial generators are keyed by (master seed, trial index), so trials are
 independent of execution order and safe to parallelize.
+
+`estimate_existence_probability` derives its trials' generator states in
+blocks: `_pcg64_states` runs numpy's exact SeedSequence/PCG64 seeding
+algorithm as uint32 array operations across a block of trial indices.
+`_generator` remains the reference (and the path for the ``sample_*``
+functions and for trial indices from 2**32 on); a tier-1 test pins the two
+together.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import PreferenceProfile
+from .prefs import PreferenceProfile, _stacked_profiles
 from .solver import Assignment, envy_free_assignment, require_enough_houses
 
 
@@ -63,6 +72,107 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
+
+
+# trials whose generator states `_trial_generators` derives together; bounds
+# the derivation's temporaries at a few hundred bytes per trial
+_SEED_BLOCK = 1 << 10
+
+
+def _trial_generators(seed: int, first: int, stop: int) -> Iterator[np.random.Generator]:
+    """``_generator(seed, t)`` for t = first, ..., stop - 1, in order.
+
+    Trials below 2**32 share one generator: each trial's state is derived
+    with `_pcg64_states` and loaded into it before it is yielded, so a
+    yielded generator must be drawn from before the next one is requested.
+    Later trials take `_generator` itself.
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    derived = min(stop, 1 << 32)
+    for block in range(first, derived, _SEED_BLOCK):
+        for state in _pcg64_states(seed, block, min(block + _SEED_BLOCK, derived)):
+            bit_generator.state = {
+                "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
+            }
+            yield generator
+    for trial in range(max(first, derived), stop):
+        yield _generator(seed, trial)
+
+
+# numpy's SeedSequence hash and mix constants (pool of four uint32 words)
+# and its PCG64 multiplier
+_MASK32 = (1 << 32) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(value: int, mult: int) -> Iterator[int]:
+    """``value``, then each previous constant times ``mult``, mod 2**32."""
+    while True:
+        yield value
+        value = value * mult & _MASK32
+
+
+def _pcg64_states(seed: int, first: int, stop: int) -> list[dict[str, int]]:
+    """``PCG64(SeedSequence([seed, t])).state["state"]`` for t = first, ..., stop - 1.
+
+    Needs ``seed >= 0`` and ``0 <= first <= stop <= 2**32``. Then every
+    trial's entropy is the seed's little-endian uint32 words followed by the
+    one word t, so SeedSequence's pool mixing and ``generate_state`` run as
+    uint32 array operations across the block, each step the same for every
+    trial. PCG64's seeding (two 128-bit LCG steps) finishes each state in
+    Python ints. `_generator` is the reference the tests hold this to.
+    """
+    trials = np.arange(first, stop, dtype=np.uint32)
+    entropy = []
+    while True:
+        entropy.append(np.full_like(trials, seed & _MASK32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(trials)
+    steps = itertools.pairwise(_hash_constants(_HASH_INIT_A, _HASH_MULT_A))
+
+    def hashmix(words):
+        xor, mult = next(steps)
+        words = words ^ xor
+        words *= mult
+        words ^= words >> 16
+        return words
+
+    def mix(x, y):
+        mixed = x * _MIX_MULT_L
+        mixed -= y * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        return mixed
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(trials)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for words in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words))
+    # generate_state(4, uint64): eight words cycling through the pool, read
+    # as little-endian pairs (state high, state low, seq high, seq low)
+    consts = list(itertools.islice(_hash_constants(_HASH_INIT_B, _HASH_MULT_B), 9))
+    block = np.stack(pool * 2, axis=1)
+    block ^= np.array(consts[:8], dtype=np.uint32)
+    block *= np.array(consts[1:], dtype=np.uint32)
+    block ^= block >> 16
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in block.astype("<u4", copy=False).view("<u8").tolist():
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc
+        states.append({"state": state & _MASK128, "inc": inc})
+    return states
 
 
 def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
@@ -205,22 +315,23 @@ def estimate_existence_probability(
     if n < 1:
         raise ValueError("need at least one agent and one house")
     require_enough_houses(n, m)
+    generators = _trial_generators(seed, 0, trials)
     chunk = max(1, _CHUNK_CELLS // (n * m))
     buffer = np.empty((min(chunk, trials), n, m))
     successes = 0
     mechanism_successes = 0
     for first in range(0, trials, chunk):
         values = buffer[: trials - first]
-        for i in range(len(values)):
-            _generator(seed, first + i).random(out=values[i])
+        for trial_values in values:
+            next(generators).random(out=trial_values)
         rows = UtilityMatrix(values.reshape(-1, m)).values
         # a trial's keys order its houses as dense ranks would, and the
         # solver reads nothing but that order
         ranks = _packed_keys(rows)
         if ranks is None:
             ranks = _ranks_from_orders(np.argsort(-rows, axis=1, kind="stable"))
-        for trial_ranks in ranks.reshape(values.shape):
-            found, _ = envy_free_assignment(PreferenceProfile(n, m, trial_ranks))
+        for profile in _stacked_profiles(ranks.reshape(values.shape)):
+            found, _ = envy_free_assignment(profile)
             successes += found is not None
         mechanism_successes += int(_serves_everyone(_claims(values)).sum())
     return MonteCarloStats(

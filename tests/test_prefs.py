@@ -11,6 +11,7 @@ from efhouse.prefs import (
     PreferenceProfile,
     ProfileError,
     _parse_lines,
+    _stacked_profiles,
     format_profile,
     parse_profile,
 )
@@ -168,6 +169,23 @@ def test_profile_copies_writeable_arrays_and_is_read_only():
     profile = PreferenceProfile(2, 2, view)
     base[0, 0] = 9
     assert profile.ranks.tolist() == [[1, 2], [2, 1]]
+
+
+def test_stacked_profiles_view_each_matrix_read_only():
+    stack = np.array([[[1, 2, 3], [3, 1, 2]], [[2, 2, 1], [1, 3, 2]]])
+    profiles = list(_stacked_profiles(stack))
+    assert not stack.flags.writeable
+    assert profiles == [PreferenceProfile(2, 3, matrix) for matrix in stack]
+    for profile, matrix in zip(profiles, stack):
+        assert (profile.n_agents, profile.n_houses) == (2, 3)
+        assert profile.ranks.base is stack and not profile.ranks.flags.writeable
+        assert np.array_equal(profile.ranks, matrix)
+
+
+def test_stacked_profiles_reject_the_sentinel_before_any_profile():
+    stack = np.array([[[1, 2]], [[1, WORST_RANK]]])
+    with pytest.raises(ProfileError, match="below"):
+        next(_stacked_profiles(stack))
 
 
 def test_profile_equality_compares_shape_and_values():

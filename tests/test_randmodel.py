@@ -47,9 +47,42 @@ def test_sampling_is_deterministic_per_seed():
     assert np.array_equal(first.values, second.values)
 
 
-def test_negative_seed_rejected():
+def test_negative_seed_rejected(monkeypatch):
     with pytest.raises(ValueError):
         sample_strict_profile(2, 2, seed=-1)
+
+    def no_states(*args):
+        raise AssertionError("derived generator states for a negative seed")
+
+    # splitting a negative seed into uint32 words would never end
+    monkeypatch.setattr(randmodel, "_pcg64_states", no_states)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        estimate_existence_probability(2, 4, trials=5, seed=-1)
+
+
+def numpy_pcg64_state(seed: int, trial: int) -> dict:
+    return np.random.PCG64(np.random.SeedSequence([seed, trial])).state
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+@pytest.mark.parametrize(
+    "first, stop, block",
+    [
+        pytest.param(0, 3, None, id="first-trials"),
+        pytest.param(2**32 - 1, 2**32, None, id="last-one-word-trial"),
+        pytest.param(0, randmodel._SEED_BLOCK + 2, None, id="across-a-block"),
+        pytest.param(4090, 4101, 4, id="across-small-blocks"),
+        pytest.param(2**32 - 3, 2**32 + 2, None, id="across-2**32"),
+        pytest.param(2**32 - 3, 2**32 + 2, 2, id="across-2**32-in-small-blocks"),
+    ],
+)
+def test_trial_generators_take_numpy_seeding_states(seed, first, stop, block, monkeypatch):
+    # the block derivation reproduces numpy's SeedSequence and PCG64 seeding,
+    # so that algorithm is a contract these cases pin
+    if block is not None:
+        monkeypatch.setattr(randmodel, "_SEED_BLOCK", block)
+    states = [g.bit_generator.state for g in randmodel._trial_generators(seed, first, stop)]
+    assert states == [numpy_pcg64_state(seed, trial) for trial in range(first, stop)]
 
 
 def test_strict_rankings_are_uniform():
@@ -152,7 +185,15 @@ def argsort_existence_counts(n: int, m: int, trials: int, seed: int) -> tuple[in
     return successes, mechanism_successes
 
 
-@pytest.mark.parametrize("n, m, trials", [(20, 20, 150), (20, 180, 60), (12, 600, 15)])
+@pytest.mark.parametrize(
+    "n, m, trials",
+    [
+        (20, 20, 150),
+        (20, 180, 60),
+        (12, 600, 15),
+        pytest.param(2, 3, randmodel._SEED_BLOCK + 5, id="across-a-seed-block"),
+    ],
+)
 def test_estimate_matches_argsort_ranking(n, m, trials):
     stats = estimate_existence_probability(n, m, trials=trials, seed=13)
     assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, trials, 13)
@@ -460,6 +501,7 @@ def test_estimate_rejects_no_agents_before_drawing(n, m, monkeypatch):
         raise AssertionError("drew utilities for an instance without agents")
 
     monkeypatch.setattr(randmodel, "_generator", no_draw)
+    monkeypatch.setattr(randmodel, "_trial_generators", no_draw)
     with pytest.raises(ValueError, match=r"^need at least one agent"):
         estimate_existence_probability(n, m, trials=5, seed=1)
 
