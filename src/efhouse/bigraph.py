@@ -9,7 +9,7 @@ returns it, or the left-saturating matching when no tree closes.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 
@@ -18,10 +18,8 @@ class BipartiteGraph:
     """Bipartite graph on left vertices 1..n_left and right vertices 1..n_right.
 
     ``adj[x - 1]`` holds the right-side neighbors of left vertex ``x`` as a
-    sorted, duplicate-free tuple. Immutable once built. The constructor
-    checks every row; the solver builds its favorites graphs through
-    `_favorites_graph`, which skips those checks because `solver._favorites`
-    produces each row sorted, duplicate-free and within 1..n_right.
+    sorted, duplicate-free tuple. Immutable once built; the constructor
+    checks every row.
     """
 
     n_left: int
@@ -39,17 +37,6 @@ class BipartiteGraph:
             # a sorted row is in range when its two ends are
             if row and (row[0] < 1 or row[-1] > self.n_right):
                 raise ValueError(f"right vertex out of range 1..{self.n_right}")
-
-
-def _favorites_graph(
-    n_left: int, n_right: int, adj: tuple[tuple[int, ...], ...]
-) -> BipartiteGraph:
-    """`BipartiteGraph` without its checks; the arguments must already satisfy them."""
-    graph = object.__new__(BipartiteGraph)
-    object.__setattr__(graph, "n_left", n_left)
-    object.__setattr__(graph, "n_right", n_right)
-    object.__setattr__(graph, "adj", adj)
-    return graph
 
 
 @dataclass(frozen=True)
@@ -103,18 +90,18 @@ def neighborhood(graph: BipartiteGraph, subset: Iterable[int]) -> set[int]:
 
 
 def _alternating_tree(
-    graph: BipartiteGraph, start: int, owner: dict[int, int], dead: Collection[int]
+    adj: Sequence[Sequence[int]], start: int, owner: dict[int, int], dead: Collection[int]
 ) -> tuple[tuple[int, int] | None, dict[int, tuple[int, int] | None]]:
     """Breadth-first search of the alternating digraph from left vertex ``start``.
 
-    Steps run left to right along every edge and right to left along matched
-    edges (``owner`` maps each matched right vertex to its left partner);
-    left vertices in ``dead`` are never entered. Returns the first edge
+    ``adj`` holds the graph's rows, as `BipartiteGraph.adj` does. Steps run
+    left to right along every edge and right to left along matched edges
+    (``owner`` maps each matched right vertex to its left partner); left
+    vertices in ``dead`` are never entered. Returns the first edge
     ``(x, y)`` whose right end is unmatched, or None when the tree closes,
     plus ``parents``: every reached left vertex mapped to the (left, right)
     step that reached it, None for ``start``.
     """
-    adj = graph.adj
     parents: dict[int, tuple[int, int] | None] = {start: None}
     queue = [start]
     for x in queue:
@@ -129,18 +116,18 @@ def _alternating_tree(
 
 
 def _closed_trees(
-    graph: BipartiteGraph, owner: dict[int, int]
+    adj: Sequence[Sequence[int]], owner: dict[int, int]
 ) -> Iterator[dict[int, tuple[int, int] | None]]:
     """Augment ``owner`` toward a maximum matching, yielding each tree that closes.
 
-    Left vertices are processed in increasing index order and adjacency is
+    ``adj`` holds the graph's rows, as `BipartiteGraph.adj` does. Left
+    vertices are processed in increasing index order and adjacency is
     scanned in sorted order, so every run on a fixed graph grows the same
     matching and closes the same trees. Each yielded tree is the ``parents``
     map of `_alternating_tree`.
     """
-    adj = graph.adj
     dead: set[int] = set()
-    for start in range(1, graph.n_left + 1):
+    for start in range(1, len(adj) + 1):
         # the tree's first step scans start's own row and stops at its first
         # free right vertex, so claim that vertex without growing the tree
         for y in adj[start - 1]:
@@ -148,7 +135,7 @@ def _closed_trees(
                 owner[y] = start
                 break
         else:
-            goal, parents = _alternating_tree(graph, start, owner, dead)
+            goal, parents = _alternating_tree(adj, start, owner, dead)
             if goal is None:
                 yield parents
                 # a failed tree is closed: each right vertex it touches is
@@ -165,7 +152,7 @@ def _closed_trees(
 def maximum_matching(graph: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching via augmenting-path search; deterministic."""
     owner: dict[int, int] = {}
-    for _ in _closed_trees(graph, owner):
+    for _ in _closed_trees(graph.adj, owner):
         pass
     return _matching(owner)
 
@@ -184,8 +171,13 @@ def violator_or_matching(graph: BipartiteGraph) -> HallViolator | Matching:
     entered it, so those steps give the neighborhood. When no tree closes,
     the same search has grown the matching `maximum_matching` returns.
     """
+    return _violator_or_matching(graph.adj)
+
+
+def _violator_or_matching(adj: Sequence[Sequence[int]]) -> HallViolator | Matching:
+    """`violator_or_matching` of the graph whose adjacency rows are ``adj``."""
     owner: dict[int, int] = {}
-    tree = next(_closed_trees(graph, owner), None)
+    tree = next(_closed_trees(adj, owner), None)
     if tree is None:
         return _matching(owner)
     return HallViolator(

@@ -54,11 +54,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileError, solver.InvalidInstanceError, oracle.InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        ProfileError,
+        solver.InvalidInstanceError,
+        oracle.InstanceTooLargeError,
+        OSError,
+        MemoryError,
+    ) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 
@@ -77,10 +80,12 @@ def run_solve(args: argparse.Namespace) -> int:
     profile = _load_profile(args.file)
     assignment, trace = solver.envy_free_assignment(profile)
     if args.dump_digraph:
-        for index, record in enumerate(trace.iterations, start=1):
+        # the trace keeps only the removals, so replay the passes for their graphs
+        for index, (rows, _) in enumerate(solver.solve_passes(profile), start=1):
+            graph = bigraph.BipartiteGraph(profile.n_agents, profile.n_houses, rows)
             print(f"# iteration {index} alternating digraph", file=sys.stderr)
-            matching = bigraph.maximum_matching(record.graph)
-            print(bigraph.format_alternating_digraph(record.graph, matching), file=sys.stderr)
+            matching = bigraph.maximum_matching(graph)
+            print(bigraph.format_alternating_digraph(graph, matching), file=sys.stderr)
     # nonexistence always ships its trace: the removals are the certificate
     include_trace = args.trace or assignment is None
     if args.format == "json":
@@ -97,14 +102,14 @@ def _print_text_result(assignment, trace, show_trace: bool) -> None:
     else:
         print("no envy-free assignment exists")
     if show_trace:
-        for index, record in enumerate(trace.iterations, start=1):
-            houses = " ".join(str(h) for h in sorted(record.available))
-            print(f"iteration {index}: houses {{{houses}}}")
-            if record.violator is None:
+        for index, (houses, violator) in enumerate(trace.passes(), start=1):
+            listed = " ".join(str(h) for h in houses)
+            print(f"iteration {index}: houses {{{listed}}}")
+            if violator is None:
                 print("  saturating matching found")
             else:
-                agents = " ".join(str(a) for a in sorted(record.violator.vertices))
-                removed = " ".join(str(h) for h in sorted(record.violator.neighborhood))
+                agents = " ".join(str(a) for a in sorted(violator.vertices))
+                removed = " ".join(str(h) for h in sorted(violator.neighborhood))
                 print(f"  deficient agents {{{agents}}} force removal of houses {{{removed}}}")
 
 
@@ -172,22 +177,22 @@ def run_simulate(args: argparse.Namespace) -> int:
     house_counts = _resolve_house_counts(args)
     solver.require_enough_houses(args.n, house_counts[0])
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["n", "m", "trials", "successes", "mechanism_successes", "success_fraction", "seed"]
-    )
+    header = ["n", "m", "trials", "successes", "mechanism_successes", "success_fraction", "seed"]
     for m in house_counts:
         stats = randmodel.estimate_existence_probability(args.n, m, args.trials, args.seed)
-        writer.writerow(
-            [
-                stats.n_agents,
-                stats.n_houses,
-                stats.trials,
-                stats.successes,
-                stats.mechanism_successes,
-                f"{stats.success_fraction:.6f}",
-                stats.seed,
-            ]
-        )
+        row = [
+            stats.n_agents,
+            stats.n_houses,
+            stats.trials,
+            stats.successes,
+            stats.mechanism_successes,
+            f"{stats.success_fraction:.6f}",
+            stats.seed,
+        ]
+        # the header waits for the first row, so a first run that fails prints nothing
+        if m == house_counts[0]:
+            writer.writerow(header)
+        writer.writerow(row)
     return 0
 
 

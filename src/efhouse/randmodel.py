@@ -191,22 +191,20 @@ def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
     return UtilityMatrix(_generator(seed).random((n, m)))
 
 
-# `Generator.random` returns multiples of 2**-53, so a utility u on that grid
-# is the exact step u * 2**53 in 0..2**53; those 54 bits leave 9 of an int64
-# key's 63 value bits for a house index below them
-_INDEX_BITS = 9
-
-
 def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     """Strict ranking per agent by decreasing utility.
 
     Exact utility ties have probability zero under any non-atomic draw; if
     they occur anyway they break toward the lower house id.
     """
-    orders = _packed_orders(utilities.values)
-    if orders is None:
-        orders = np.argsort(-utilities.values, axis=1, kind="stable")
+    orders = np.argsort(-utilities.values, axis=1, kind="stable")
     return PreferenceProfile(*orders.shape, _ranks_from_orders(orders))
+
+
+# `Generator.random` returns multiples of 2**-53, so a utility u on that grid
+# is the exact step u * 2**53 in 0..2**53; those 54 bits leave 9 of an int64
+# key's 63 value bits for a house index below them
+_INDEX_BITS = 9
 
 
 def _packed_keys(values: np.ndarray) -> np.ndarray | None:
@@ -229,16 +227,6 @@ def _packed_keys(values: np.ndarray) -> np.ndarray | None:
     np.subtract(1 << 53, keys, out=keys)
     keys <<= index_bits
     keys |= np.arange(m)
-    return keys
-
-
-def _packed_orders(values: np.ndarray) -> np.ndarray | None:
-    """The stable ``argsort(-values)`` orders from one int64 sort of `_packed_keys`, or None."""
-    keys = _packed_keys(values)
-    if keys is None:
-        return None
-    keys.sort(axis=-1)
-    keys &= (1 << (values.shape[-1] - 1).bit_length()) - 1
     return keys
 
 

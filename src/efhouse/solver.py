@@ -11,13 +11,14 @@ houses) or fewer houses than agents (a proof of nonexistence).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, HallViolator, Matching, _favorites_graph, violator_or_matching
+from .bigraph import HallViolator, Matching, _violator_or_matching
 from .prefs import WORST_RANK, PreferenceProfile
 
 
@@ -59,25 +60,47 @@ class Assignment:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One pass of the solve loop.
+    """One pass of the solve loop, as `SolveTrace.iterations` derives it.
 
-    ``available`` is the house set on offer when the pass started and
-    ``graph`` the favorites graph built on it. ``violator`` is the
-    `hall_violator` of that graph, whose neighborhood the pass removed, or
-    None on the final, saturating pass.
+    ``available`` is the house set on offer when the pass started.
+    ``violator`` is the `hall_violator` of the pass's favorites graph, whose
+    neighborhood the pass removed, or None on the final, saturating pass.
     """
 
     available: frozenset[int]
-    graph: BipartiteGraph
     violator: HallViolator | None
 
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Full iteration history plus the outcome (None = proven nonexistence)."""
+    """The solve loop's removals plus the outcome (None = proven nonexistence).
 
-    iterations: tuple[IterationRecord, ...]
+    ``violators`` holds, in order, the violator of each pass that removed
+    its neighborhood; a found trace ends with one more, saturating pass.
+    `passes` derives each pass's houses from ``n_houses`` and the removals.
+    """
+
+    n_houses: int
+    violators: tuple[HallViolator, ...]
     assignment: Assignment | None
+
+    def passes(self) -> Iterator[tuple[list[int], HallViolator | None]]:
+        """Each pass's houses on offer, as a fresh ascending list, and its violator.
+
+        The violator is None on a saturating final pass.
+        """
+        houses = list(range(1, self.n_houses + 1))
+        for violator in self.violators:
+            yield houses, violator
+            removed = violator.neighborhood
+            houses = [house for house in houses if house not in removed]
+        if self.assignment is not None:
+            yield houses, None
+
+    @property
+    def iterations(self) -> tuple[IterationRecord, ...]:
+        """Every pass as an `IterationRecord`, derived from `passes`."""
+        return tuple(IterationRecord(frozenset(houses), found) for houses, found in self.passes())
 
 
 def envy_free_assignment(
@@ -85,7 +108,7 @@ def envy_free_assignment(
 ) -> tuple[Assignment | None, SolveTrace]:
     """Compute an envy-free assignment, or prove that none exists.
 
-    Returns the assignment (or None) together with the per-iteration trace.
+    Returns the assignment (or None) together with the trace of removals.
     The trace doubles as a human-auditable certificate on the None side:
     every removed house is provably unusable by any envy-free assignment.
     Deterministic: ties and choices are always broken toward lower ids.
@@ -93,36 +116,52 @@ def envy_free_assignment(
     Raises InvalidInstanceError when the profile has fewer houses than
     agents.
     """
+    violators: list[HallViolator] = []
+    assignment: Assignment | None = None
+    for _, found in solve_passes(profile):
+        if isinstance(found, Matching):
+            by_agent = found.left_to_right()
+            assignment = Assignment(tuple(by_agent[a] for a in range(1, profile.n_agents + 1)))
+        else:
+            violators.append(found)
+    return assignment, SolveTrace(profile.n_houses, tuple(violators), assignment)
+
+
+def solve_passes(
+    profile: PreferenceProfile,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], HallViolator | Matching]]:
+    """Each pass of the solve loop: its favorites rows and its search result.
+
+    Row ``i`` lists, ascending, the houses on offer that agent ``i + 1``
+    ranks best: the adjacency of the pass's favorites graph. The result is
+    that graph's `violator_or_matching`. Raises InvalidInstanceError, on the
+    first pass, when the profile has fewer houses than agents.
+    """
     n, m = profile.n_agents, profile.n_houses
     require_enough_houses(n, m)
-    id_block, available = _house_ids(m, max(1, _BLOCK_CELLS // m))
-    records: list[IterationRecord] = []
-    assignment: Assignment | None = None
+    id_block = _house_ids(m, max(1, _BLOCK_CELLS // m))
     # removed houses are masked with a rank worse than any real one, so the
     # minimum of a row is the best rank still on offer
     masked = profile.ranks.copy()
     best = np.empty(n, np.int64)  # each row's minimum as of its last scan
     rows: list[tuple[int, ...]] = [()] * n
     stale = np.arange(n)
+    left = m  # houses still on offer
     while True:
         _favorites(masked, stale, id_block, best, rows)
-        graph = _favorites_graph(n, m, tuple(rows))
-        found = violator_or_matching(graph)
+        adj = tuple(rows)
+        found = _violator_or_matching(adj)
+        yield adj, found
         if isinstance(found, Matching):
-            records.append(IterationRecord(available, graph, None))
-            by_agent = found.left_to_right()
-            assignment = Assignment(tuple(by_agent[a] for a in range(1, n + 1)))
-            break
-        records.append(IterationRecord(available, graph, found))
+            return
         removed = found.neighborhood
-        available = available - removed
-        if len(available) < n:
-            break
+        left -= len(removed)
+        if left < n:
+            return
         columns = np.fromiter(removed, np.intp, len(removed)) - 1
         # a row that lost no favorite keeps its best rank, hence its members
         stale = np.flatnonzero((masked[:, columns] == best[:, None]).any(axis=1))
         masked[:, columns] = WORST_RANK
-    return assignment, SolveTrace(tuple(records), assignment)
 
 
 _BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows
@@ -130,8 +169,8 @@ _BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows
 
 # a sweep changes m once per row, so the last pool is the one asked for again
 @lru_cache(maxsize=1)
-def _house_ids(m: int, rows: int) -> tuple[np.ndarray, frozenset[int]]:
-    """House ids 1..m as ``rows`` read-only rows of one object pool, and as a set.
+def _house_ids(m: int, rows: int) -> np.ndarray:
+    """House ids 1..m as ``rows`` read-only rows of one object pool.
 
     Favorites rows share the pool's int objects; an id above 256 would
     otherwise be a fresh int in every row that holds it. Every row of the
@@ -139,7 +178,7 @@ def _house_ids(m: int, rows: int) -> tuple[np.ndarray, frozenset[int]]:
     """
     pool = np.array(range(1, m + 1), dtype=object)
     pool.flags.writeable = False
-    return np.broadcast_to(pool, (rows, m)), frozenset(pool.tolist())
+    return np.broadcast_to(pool, (rows, m))
 
 
 def _favorites(
@@ -216,18 +255,18 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
     if include_trace:
         out["trace"] = [
             {
-                "houses": sorted(rec.available),
-                "saturating": rec.violator is None,
+                "houses": houses,
+                "saturating": violator is None,
                 "violator": (
                     None
-                    if rec.violator is None
+                    if violator is None
                     else {
-                        "agents": sorted(rec.violator.vertices),
-                        "houses": sorted(rec.violator.neighborhood),
+                        "agents": sorted(violator.vertices),
+                        "houses": sorted(violator.neighborhood),
                     }
                 ),
-                "removed": [] if rec.violator is None else sorted(rec.violator.neighborhood),
+                "removed": [] if violator is None else sorted(violator.neighborhood),
             }
-            for rec in trace.iterations
+            for houses, violator in trace.passes()
         ]
     return out

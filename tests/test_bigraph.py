@@ -196,7 +196,7 @@ def tree_per_start_closed_trees(g: BipartiteGraph, owner: dict[int, int]):
     """Reference: the augmenting loop that grows a tree from every start, no direct claims."""
     dead: set[int] = set()
     for start in range(1, g.n_left + 1):
-        goal, parents = _alternating_tree(g, start, owner, dead)
+        goal, parents = _alternating_tree(g.adj, start, owner, dead)
         if goal is None:
             yield parents
             dead.update(parents)

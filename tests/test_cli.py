@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from efhouse import cli, solver
+from efhouse import cli, randmodel, solver
 from efhouse.prefs import parse_profile
 from efhouse.solver import Assignment, verify_envy_free
 
@@ -143,7 +143,7 @@ def test_oracle_certifies_nonexistence(tmp_path, capsys):
 
 def test_oracle_flags_disagreement(golden_file, capsys, monkeypatch):
     def broken(profile):
-        return None, solver.SolveTrace((), None)
+        return None, solver.SolveTrace(profile.n_houses, (), None)
 
     monkeypatch.setattr(solver, "envy_free_assignment", broken)
     code, out, _ = run_cli(capsys, "oracle", golden_file)
@@ -177,6 +177,34 @@ def test_simulate_sweep_emits_one_row_per_house_count(capsys):
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["3", "6", "9"]
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [(None, "out of memory"), ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB")],
+)
+def test_simulate_out_of_memory_exits_two_before_any_output(message, shown, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError() if message is None else MemoryError(message)
+
+    monkeypatch.setattr(randmodel, "estimate_existence_probability", exhausted)
+    code, out, err = run_cli(capsys, "simulate", "--n", "1000000", "--m", "1000000", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {shown}\n"
+
+
+def test_sweep_out_of_memory_keeps_the_rows_already_printed(capsys, monkeypatch):
+    honest = randmodel.estimate_existence_probability
+
+    def exhausted_above_four(n, m, trials, seed):
+        if m > 4:
+            raise MemoryError
+        return honest(n, m, trials, seed)
+
+    monkeypatch.setattr(randmodel, "estimate_existence_probability", exhausted_above_four)
+    code, out, err = run_cli(capsys, "simulate", "--n", "2", "--sweep", "3:6:1", "--trials", "5")
+    assert code == 2 and err == "error: out of memory\n"
+    assert [row.split(",")[1] for row in out.splitlines()] == ["m", "3", "4"]
 
 
 def test_sweep_house_counts_are_a_range():

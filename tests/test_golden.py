@@ -4,9 +4,10 @@
 instance is regenerated here from `random.Random(seed)` (or, for the strict
 samples, from `sample_strict_profile`'s own seed), so the fixture stores
 only results. The `--dump-digraph` digests pin each pass's full maximum
-matching, which the JSON trace does not carry. After a deliberate output
-change, rewrite the fixture with `PYTHONPATH=src python tests/test_golden.py`
-and review the diff.
+matching, which the JSON trace does not carry. The large instances'
+text-trace digests are held in this file, in `TEXT_TRACE_SHA256`. After a
+deliberate output change, rewrite the fixture with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ LARGE = [
 ]
 # (n, m, seed) for sample_strict_profile, including m < n
 STRICT_SAMPLES = [(1, 1, 0), (3, 7, 1), (8, 5, 2), (20, 20, 3), (50, 120, 4), (100, 200, 5)]
+# SHA-256 of `solve --format text --trace` stdout for each LARGE seed
+TEXT_TRACE_SHA256 = {
+    1: "f318859e319c3bcfe0c09136707f5ceff9ad547619d66e53930ff5b73913957e",
+    2: "3c03183e4914855766bed7b5beff04777691ebecb96c88d4497fadc662962c71",
+    3: "2c4b56e2b8e0da4921279afae2d04de9531bfafbf557c30ea1e70e1b6634a55b",
+    4: "1116171dda290a1eec44ec17913f44c6397102be286fec4e71f7d88e091cb1bb",
+    5: "57606db357a481a0a09dd1e87738017605546df6592fba6646395fae3522b6be",
+    6: "316bbca84641e6fa4b30da4df936e2879c59dacb909aa25fe32a1ec6f748c7b7",
+}
 SIMULATE = [
     ["simulate", "--n", "20", "--m", "20", "--trials", "200", "--seed", "0"],
     ["simulate", "--n", "10", "--sweep", "10:40:10", "--trials", "100"],
@@ -68,15 +78,27 @@ def large_digest(seed: int, n: int, ties: bool) -> str:
     return hashlib.sha256(solve_json(large_instance(seed, n, ties)).encode()).hexdigest()
 
 
-def digraph_digest(seed: int, n: int, ties: bool) -> str:
-    """SHA-256 of the `solve --dump-digraph` stderr for one large instance."""
+def large_solve_output(seed: int, n: int, ties: bool, *flags: str) -> tuple[str, str]:
+    """The stdout and stderr of `solve` with ``flags`` on one large instance."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.txt"
         path.write_text(format_profile(large_instance(seed, n, ties)))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert cli.main(["solve", "--dump-digraph", str(path)]) in (0, 1)
-    return hashlib.sha256(err.getvalue().encode()).hexdigest()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["solve", *flags, str(path)]) in (0, 1)
+    return out.getvalue(), err.getvalue()
+
+
+def digraph_digest(seed: int, n: int, ties: bool) -> str:
+    """SHA-256 of the `solve --dump-digraph` stderr for one large instance."""
+    _, err = large_solve_output(seed, n, ties, "--dump-digraph")
+    return hashlib.sha256(err.encode()).hexdigest()
+
+
+def text_trace_digest(seed: int, n: int, ties: bool) -> str:
+    """SHA-256 of the `solve --format text --trace` stdout for one large instance."""
+    out, _ = large_solve_output(seed, n, ties, "--format", "text", "--trace")
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 def strict_sample_digest(n: int, m: int, seed: int) -> str:
@@ -122,6 +144,11 @@ def test_large_instances_reproduce_byte_for_byte(corpus, seed, n, ties):
 @pytest.mark.parametrize("seed, n, ties", LARGE)
 def test_large_digraph_dumps_reproduce_byte_for_byte(corpus, seed, n, ties):
     assert digraph_digest(seed, n, ties) == corpus["digraph_sha256"][str(seed)]
+
+
+@pytest.mark.parametrize("seed, n, ties", LARGE)
+def test_large_text_traces_reproduce_byte_for_byte(seed, n, ties):
+    assert text_trace_digest(seed, n, ties) == TEXT_TRACE_SHA256[seed]
 
 
 @pytest.mark.parametrize("n, m, seed", STRICT_SAMPLES)

@@ -135,7 +135,7 @@ PACKING_BOUND = 512  # the widest rows whose keys fit: 54 utility bits + 9 index
 
 
 def on_grid_cases():
-    # every value here is a multiple of 2**-53, so the packed sort can take it
+    # every value here is a multiple of 2**-53, so `_packed_keys` can pack it
     rng = np.random.default_rng(21)
     yield pytest.param(rng.integers(0, 9, size=(7, 13)) / 8, id="eighths")  # many ties per row
     signed = [[0.0, -0.0, 1.0, 0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 1.0, -0.0, 1.0]]
@@ -153,8 +153,7 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
     profile = utilities_to_profile(UtilityMatrix(values))
     assert profile.ranks.tolist() == per_row_sort_ranks(values)
     assert profile.ranks.dtype == np.int64 and not profile.ranks.flags.writeable
-    packed = randmodel._packed_orders(values)
-    assert (packed is None) == (values.shape[1] > PACKING_BOUND)
+    assert (randmodel._packed_keys(values) is None) == (values.shape[1] > PACKING_BOUND)
 
 
 @pytest.mark.parametrize(
@@ -166,7 +165,7 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
     ],
 )
 def test_other_utilities_take_the_argsort_path(values):
-    assert randmodel._packed_orders(values) is None
+    assert randmodel._packed_keys(values) is None
     assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == per_row_sort_ranks(values)
 
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from efhouse import solver
 from efhouse.bigraph import BipartiteGraph, maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import PreferenceProfile, parse_profile
+from efhouse.randmodel import sample_strict_profile
 from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
@@ -157,17 +160,17 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
     _, trace = envy_free_assignment(profile)
     assert len(trace.iterations) > 10
     assert_favorites_rows_fresh(profile, trace)
-    for rec in trace.iterations:
-        size = maximum_matching(rec.graph).size()
-        assert reference_matching_sizes(rec.graph) == (size, size)
-        assert (rec.violator is None) == (size == rec.graph.n_left)
+    for graph, rec in zip(pass_graphs(profile), trace.iterations, strict=True):
+        size = maximum_matching(graph).size()
+        assert reference_matching_sizes(graph) == (size, size)
+        assert (rec.violator is None) == (size == graph.n_left)
         if rec.violator is None:
-            assert alternating_reach(rec.graph) is None
+            assert alternating_reach(graph) is None
         else:
             S, N = rec.violator.vertices, rec.violator.neighborhood
-            assert S == alternating_reach(rec.graph)
+            assert S == alternating_reach(graph)
             assert len(S) == len(N) + 1
-            assert N == neighborhood(rec.graph, S)
+            assert N == neighborhood(graph, S)
 
 
 def test_rank_values_matter_only_through_their_order():
@@ -196,7 +199,7 @@ def test_found_assignment_is_the_maximum_matching_of_the_last_pass():
         if assignment is None:
             continue
         found += 1
-        by_agent = maximum_matching(trace.iterations[-1].graph).left_to_right()
+        by_agent = maximum_matching(pass_graphs(profile)[-1]).left_to_right()
         assert assignment.houses == tuple(by_agent[a] for a in range(1, n + 1))
     assert found > 50
 
@@ -220,10 +223,11 @@ def test_favorites_rows_fresh_on_wide_tiers_and_strict_rows(wide_solve):
 
 
 def test_favorites_rows_hold_plain_ints(wide_solve):
-    _, trace = wide_solve
-    for rec in trace.iterations:
-        assert all(type(house) is int for row in rec.graph.adj for house in row)
-        assert all(type(house) is int for house in rec.available)
+    profile, trace = wide_solve
+    for rows, _ in solver.solve_passes(profile):
+        assert all(type(house) is int for row in rows for house in row)
+    for houses, _ in trace.passes():
+        assert all(type(house) is int for house in houses)
     json.dumps(result_json(trace))
 
 
@@ -232,10 +236,11 @@ def test_block_size_does_not_change_the_trace(wide_solve, rows_per_block, monkey
     # 7 rows divide none of the agent counts, so the last block is short
     profile, trace = wide_solve
     assert profile.n_agents % 7
+    expected = [rows for rows, _ in solver.solve_passes(profile)]
     monkeypatch.setattr(solver, "_BLOCK_CELLS", rows_per_block * profile.n_houses)
     _, blocked = envy_free_assignment(profile)
     assert result_json(blocked) == result_json(trace)
-    assert [rec.graph for rec in blocked.iterations] == [rec.graph for rec in trace.iterations]
+    assert [rows for rows, _ in solver.solve_passes(profile)] == expected
 
 
 def test_house_id_pool_is_reused_across_house_counts():
@@ -247,29 +252,53 @@ def test_house_id_pool_is_reused_across_house_counts():
         fresh.append(json.dumps(result_json(envy_free_assignment(profile)[1])))
     reused = [json.dumps(result_json(envy_free_assignment(profile)[1])) for profile in profiles]
     assert reused == fresh
-    id_block, available = solver._house_ids(41, 3)
-    assert available == set(range(1, 42)) and id_block.shape == (3, 41)
+    id_block = solver._house_ids(41, 3)
+    assert id_block.shape == (3, 41) and id_block[2].tolist() == list(range(1, 42))
     assert not id_block.flags.writeable
     with pytest.raises(ValueError):
         id_block.base[0] = 7  # the pool row every block row views
 
 
+def test_held_trace_grows_with_the_removals_only():
+    # 1,001 passes over 2,000 houses; a trace holding each pass's house set
+    # and favorites graph held ~74 MB at this size
+    profile = sample_strict_profile(1000, 2000, 3)
+    tracemalloc.start()
+    try:
+        _, trace = envy_free_assignment(profile)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()  # the trace and any cache the solve filled
+    finally:
+        tracemalloc.stop()
+    assert len(trace.violators) == 1001 and trace.assignment is None
+    assert held < 1 << 20
+    assert [(sorted(rec.available), rec.violator) for rec in trace.iterations] == list(
+        trace.passes()
+    )
+
+
+def pass_graphs(profile):
+    """Each solve pass's favorites graph, rebuilt through `BipartiteGraph`'s row checks."""
+    n, m = profile.n_agents, profile.n_houses
+    return [BipartiteGraph(n, m, rows) for rows, _ in solver.solve_passes(profile)]
+
+
 def assert_favorites_rows_fresh(profile, trace):
     """Each pass's favorites rows equal a from-scratch ranking, and passes chain.
 
-    The solver builds its graphs without `BipartiteGraph`'s row checks, so
-    each is rebuilt through the checking constructor, which must accept it
-    and give an equal graph.
+    The passes are replayed; each pass's rows must pass `BipartiteGraph`'s
+    row checks, and its search must find the violator the trace holds.
     """
     records = trace.iterations
+    assert [(sorted(rec.available), rec.violator) for rec in records] == list(trace.passes())
     assert records[0].available == set(range(1, profile.n_houses + 1))
-    for rec in records:
-        checked = BipartiteGraph(rec.graph.n_left, rec.graph.n_right, rec.graph.adj)
-        assert checked == rec.graph and hash(checked) == hash(rec.graph)
-        assert rec.graph.adj == tuple(
+    for (rows, found), rec in zip(solver.solve_passes(profile), records, strict=True):
+        graph = BipartiteGraph(profile.n_agents, profile.n_houses, rows)
+        assert rows == tuple(
             tuple(sorted(top_choices(profile, agent, rec.available)))
             for agent in range(1, profile.n_agents + 1)
         )
+        assert found == (rec.violator or maximum_matching(graph))
     # only the final pass may saturate
     assert all(rec.violator is not None for rec in records[:-1])
     for before, after in zip(records, records[1:]):
