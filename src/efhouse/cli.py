@@ -126,10 +126,7 @@ def run_oracle(args: argparse.Namespace) -> int:
         if assignment not in all_ef:
             print("DISAGREEMENT: solver output is not among the enumerated assignments")
             return 3
-        if not solver.verify_envy_free(profile, assignment):
-            print("DISAGREEMENT: solver output fails the envy check")
-            return 3
-        pareto = oracle.is_pareto_among_ef(profile, assignment)
+        pareto = oracle.undominated(profile, assignment, all_ef)
         print(f"pareto-among-envy-free: {'yes' if pareto else 'NO'}")
         if not pareto:
             return 3
@@ -175,7 +172,6 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ProfileError("--seed must be nonnegative")
     house_counts = _resolve_house_counts(args)
-    solver.require_enough_houses(args.n, house_counts[0])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["n", "m", "trials", "successes", "mechanism_successes", "success_fraction", "seed"]
     for m in house_counts:

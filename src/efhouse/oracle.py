@@ -51,22 +51,24 @@ def is_pareto_among_ef(profile: PreferenceProfile, candidate: Assignment) -> boo
     """
     if not verify_envy_free(profile, candidate):
         raise ValueError("candidate assignment is not envy-free")
+    return undominated(profile, candidate, enumerate_ef_assignments(profile))
+
+
+def undominated(
+    profile: PreferenceProfile, candidate: Assignment, assignments: list[Assignment]
+) -> bool:
+    """True when no assignment in ``assignments`` dominates the candidate.
+
+    Dominating is as in `is_pareto_among_ef`, which passes every envy-free
+    assignment; a caller already holding that list passes it directly.
+    """
     ranks = profile.ranks.tolist()
-    for other in enumerate_ef_assignments(profile):
-        if _dominates(ranks, other.houses, candidate.houses):
+    held = [row[h - 1] for row, h in zip(ranks, candidate.houses)]
+    for other in assignments:
+        offered = [row[h - 1] for row, h in zip(ranks, other.houses)]
+        if offered != held and all(a <= b for a, b in zip(offered, held)):
             return False
     return True
-
-
-def _dominates(ranks, a, b) -> bool:
-    strict = False
-    for i in range(len(a)):
-        rank_a, rank_b = ranks[i][a[i] - 1], ranks[i][b[i] - 1]
-        if rank_a > rank_b:
-            return False
-        if rank_a < rank_b:
-            strict = True
-    return strict
 
 
 def brute_force_hall_check(graph: BipartiteGraph) -> list[HallViolator]:

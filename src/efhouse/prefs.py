@@ -92,25 +92,19 @@ def _rank_matrix(ranks, n: int, m: int) -> np.ndarray:
         ranks.flags.writeable = False
     if ranks.shape != (n, m):
         raise ProfileError(f"ranks must form a {n} x {m} matrix, got shape {ranks.shape}")
-    _require_below_worst_rank(ranks)
-    return ranks
-
-
-def _require_below_worst_rank(ranks: np.ndarray) -> None:
     if ranks.max() == WORST_RANK:
         raise ProfileError(f"rank values must lie below {WORST_RANK}")
+    return ranks
 
 
 def _stacked_profiles(ranks: np.ndarray) -> Iterator[PreferenceProfile]:
     """A profile for each ``(n, m)`` matrix of the ``(k, n, m)`` int64 array ``ranks``.
 
-    The values are checked against ``WORST_RANK`` once for the whole stack,
-    and ``ranks`` is marked read-only; each profile then holds a view of its
-    matrix, with none of the constructor's other checks and no copy. The
-    caller must pass int64 ranks with n, m >= 1, and must not write to the
-    array ``ranks`` views while a profile is in use.
+    ``ranks`` is marked read-only, and each profile holds a view of its
+    matrix, with none of the constructor's checks and no copy. The caller
+    must pass int64 ranks below ``WORST_RANK`` with n, m >= 1, and must not
+    write to the array ``ranks`` views while a profile is in use.
     """
-    _require_below_worst_rank(ranks)
     ranks.flags.writeable = False
     _, n, m = ranks.shape
     for matrix in ranks:

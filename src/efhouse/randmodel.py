@@ -295,8 +295,8 @@ def estimate_existence_probability(
     (n, m, trials, seed) always reproduces the same numbers.
 
     Trials run in chunks of up to ``_CHUNK_CELLS // (n * m)``: each trial
-    draws into the chunk's buffer and is solved on its own, while checking,
-    ranking and the mechanism each take one pass over the whole chunk.
+    draws into the chunk's buffer and is solved on its own, while ranking
+    and the mechanism each take one pass over the whole chunk.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -312,9 +312,9 @@ def estimate_existence_probability(
         values = buffer[: trials - first]
         for trial_values in values:
             next(generators).random(out=trial_values)
-        rows = UtilityMatrix(values.reshape(-1, m)).values
-        # a trial's keys order its houses as dense ranks would, and the
-        # solver reads nothing but that order
+        rows = values.reshape(-1, m)  # `Generator.random` draws lie in [0, 1)
+        # a trial's keys (at most 2**62 + 511, below `WORST_RANK`) order its
+        # houses as dense ranks would, and the solver reads nothing but that order
         ranks = _packed_keys(rows)
         if ranks is None:
             ranks = _ranks_from_orders(np.argsort(-rows, axis=1, kind="stable"))

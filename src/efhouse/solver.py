@@ -172,9 +172,9 @@ _BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows
 def _house_ids(m: int, rows: int) -> np.ndarray:
     """House ids 1..m as ``rows`` read-only rows of one object pool.
 
-    Favorites rows share the pool's int objects; an id above 256 would
-    otherwise be a fresh int in every row that holds it. Every row of the
-    block is a view of the one pool row.
+    Every row of the block is a view of the one pool row. It is kept for
+    speed: a boolean mask and one ``tolist`` of existing ints beat
+    ``np.nonzero`` and a fresh int per id in `_favorites`.
     """
     pool = np.array(range(1, m + 1), dtype=object)
     pool.flags.writeable = False

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from efhouse import cli, randmodel, solver
+from efhouse import cli, oracle, randmodel, solver
 from efhouse.prefs import parse_profile
 from efhouse.solver import Assignment, verify_envy_free
 
@@ -141,6 +141,20 @@ def test_oracle_certifies_nonexistence(tmp_path, capsys):
     assert "solver: none" in out
 
 
+def test_oracle_enumerates_once(golden_file, capsys, monkeypatch):
+    calls = []
+    enumerate_ef_assignments = oracle.enumerate_ef_assignments
+
+    def counted(profile):
+        calls.append(profile)
+        return enumerate_ef_assignments(profile)
+
+    monkeypatch.setattr(oracle, "enumerate_ef_assignments", counted)
+    code, out, _ = run_cli(capsys, "oracle", golden_file)
+    assert code == 0 and "pareto-among-envy-free: yes" in out
+    assert len(calls) == 1
+
+
 def test_oracle_flags_disagreement(golden_file, capsys, monkeypatch):
     def broken(profile):
         return None, solver.SolveTrace(profile.n_houses, (), None)
@@ -242,3 +256,14 @@ def test_simulate_rejects_bad_parameters(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--m", "2"], "error: 3 agents need at least 3 houses, instance has 2\n"),
+        (["--n", "5", "--sweep", "3:8:1"], "error: 5 agents need at least 5 houses, instance has 3\n"),
+    ],
+)
+def test_simulate_names_too_few_houses(argv, message, capsys):
+    assert run_cli(capsys, "simulate", *argv, "--trials", "5") == (2, "", message)

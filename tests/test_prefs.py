@@ -182,12 +182,6 @@ def test_stacked_profiles_view_each_matrix_read_only():
         assert np.array_equal(profile.ranks, matrix)
 
 
-def test_stacked_profiles_reject_the_sentinel_before_any_profile():
-    stack = np.array([[[1, 2]], [[1, WORST_RANK]]])
-    with pytest.raises(ProfileError, match="below"):
-        next(_stacked_profiles(stack))
-
-
 def test_profile_equality_compares_shape_and_values():
     from_rows = PreferenceProfile(2, 2, ((1, 2), (2, 1)))
     from_array = PreferenceProfile(2, 2, np.array([[1, 2], [2, 1]], dtype=np.int32))

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from efhouse import cli, randmodel
-from efhouse.prefs import PreferenceProfile
+from efhouse.prefs import WORST_RANK, PreferenceProfile
 from efhouse.randmodel import (
     MonteCarloStats,
     UtilityMatrix,
@@ -83,6 +83,24 @@ def test_trial_generators_take_numpy_seeding_states(seed, first, stop, block, mo
         monkeypatch.setattr(randmodel, "_SEED_BLOCK", block)
     states = [g.bit_generator.state for g in randmodel._trial_generators(seed, first, stop)]
     assert states == [numpy_pcg64_state(seed, trial) for trial in range(first, stop)]
+
+
+def test_trial_draws_pack_into_keys_below_the_solver_sentinel():
+    # simulate re-checks none of this per chunk: numpy documents
+    # `Generator.random` to lie in [0, 1), and its draws are multiples of
+    # 2**-53, the grid `_packed_keys` packs (off it, ranking falls back to
+    # the slower argsort)
+    for seed in (0, 2**32, 10**30):
+        for trials, n, m in ((200, 20, 20), (50, 20, 180)):  # sim-eq, sim-log
+            generators = randmodel._trial_generators(seed, 0, trials)
+            values = np.stack([generator.random((n, m)) for generator in generators])
+            assert values.min() >= 0.0 and values.max() < 1.0
+            scaled = values * 2.0**53
+            assert (scaled == np.floor(scaled)).all()
+    # so the keys of the widest packed rows stay below the solver's mask rank
+    for utility in (0.0, 1.0 - 2.0**-53):
+        keys = randmodel._packed_keys(np.full((2, PACKING_BOUND), utility))
+        assert keys is not None and keys.max() <= 2**62 + 511 < WORST_RANK
 
 
 def test_strict_rankings_are_uniform():
@@ -279,6 +297,44 @@ def test_key_ranks_of_tied_utilities_solve_like_dense_ranks():
         assert solve_json(key_ranked_profile(values)) == solve_json(dense)
         statuses.add(envy_free_assignment(dense)[0] is None)
     assert statuses == {False, True}
+
+
+def contested_tops_verdict(values: np.ndarray) -> bool:
+    """Whether an envy-free assignment exists, by the contested-tops rule.
+
+    Each agent takes its favorite house still on offer (ties toward the
+    lower id) and every house two agents take is dropped at once, until the
+    favorites all differ (found) or fewer houses than agents remain (none).
+    """
+    n, m = values.shape
+    offered = np.ones(m, dtype=bool)
+    while offered.sum() >= n:
+        tops = np.where(offered, values, -1.0).argmax(axis=1)
+        houses, takers = np.unique(tops, return_counts=True)
+        if (takers == 1).all():
+            return True
+        offered[houses[takers > 1]] = False
+    return False
+
+
+def contested_tops_cases():
+    rng = np.random.default_rng(43)
+    for n, m, count in ((20, 20, 300), (20, 180, 200), (10, 40, 300), (50, 300, 40)):
+        for _ in range(count):
+            yield rng.random((n, m))
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        yield rng.integers(0, 9, size=(n, int(rng.integers(n, 12)))) / 8  # many ties per row
+
+
+def test_contested_tops_rule_decides_like_the_solver():
+    # on utility rankings a trial can be decided without the solve loop
+    verdicts = set()
+    for values in contested_tops_cases():
+        found, _ = envy_free_assignment(utilities_to_profile(UtilityMatrix(values)))
+        assert contested_tops_verdict(values) == (found is not None)
+        verdicts.add(found is not None)
+    assert verdicts == {False, True}
 
 
 def test_utility_path_matches_uniform_ranking_distribution():
