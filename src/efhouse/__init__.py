@@ -5,7 +5,6 @@ from .bigraph import (
     HallViolator,
     Matching,
     format_alternating_digraph,
-    hall_violator,
     maximum_matching,
     neighborhood,
     violator_or_matching,
@@ -62,7 +61,6 @@ __all__ = [
     "estimate_existence_probability",
     "format_alternating_digraph",
     "format_profile",
-    "hall_violator",
     "is_pareto_among_ef",
     "maximum_matching",
     "neighborhood",

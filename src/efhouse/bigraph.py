@@ -185,14 +185,8 @@ def _violator_or_matching(adj: Sequence[Sequence[int]]) -> HallViolator | Matchi
     )
 
 
-def hall_violator(graph: BipartiteGraph) -> HallViolator | None:
-    """The violator of `violator_or_matching`, or None when a left-saturating matching exists."""
-    found = violator_or_matching(graph)
-    return found if isinstance(found, HallViolator) else None
-
-
 def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str:
-    """Adjacency-list dump of the alternating digraph that `hall_violator` searches.
+    """Adjacency-list dump of the alternating digraph that `violator_or_matching` searches.
 
     Edges run left to right along every graph edge and right to left along
     the pairs of ``matching``. Left vertices print as ``L<i>``, right as

@@ -39,14 +39,6 @@ class UtilityMatrix:
         if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("utilities must lie in [0, 1]")
 
-    @property
-    def n_agents(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_houses(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class MonteCarloStats:
@@ -57,15 +49,21 @@ class MonteCarloStats:
     trials: int
     successes: int
     mechanism_successes: int
-    success_fraction: float
     seed: int
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         if not 0 <= self.successes <= self.trials:
             raise ValueError("successes must lie in 0..trials")
         if not 0 <= self.mechanism_successes <= self.successes:
             # a completed mechanism run implies an envy-free assignment exists
             raise ValueError("mechanism successes cannot exceed solver successes")
+
+    @property
+    def success_fraction(self) -> float:
+        """Share of trials in which an envy-free assignment exists."""
+        return self.successes / self.trials
 
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
@@ -296,7 +294,8 @@ def estimate_existence_probability(
 
     Trials run in chunks of up to ``_CHUNK_CELLS // (n * m)``: each trial
     draws into the chunk's buffer and is solved on its own, while ranking
-    and the mechanism each take one pass over the whole chunk.
+    and the mechanism each take one pass over the whole chunk. Raises
+    MemoryError when one trial's utilities cannot be held.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -305,7 +304,10 @@ def estimate_existence_probability(
     require_enough_houses(n, m)
     generators = _trial_generators(seed, 0, trials)
     chunk = max(1, _CHUNK_CELLS // (n * m))
-    buffer = np.empty((min(chunk, trials), n, m))
+    try:
+        buffer = np.empty((min(chunk, trials), n, m))
+    except ValueError:  # the shape outgrows numpy's size arithmetic
+        raise MemoryError(f"cannot hold the utilities of {n} agents and {m} houses") from None
     successes = 0
     mechanism_successes = 0
     for first in range(0, trials, chunk):
@@ -328,6 +330,5 @@ def estimate_existence_probability(
         trials=trials,
         successes=successes,
         mechanism_successes=mechanism_successes,
-        success_fraction=successes / trials,
         seed=seed,
     )

@@ -50,9 +50,6 @@ class Assignment:
     def n_agents(self) -> int:
         return len(self.houses)
 
-    def house_of(self, agent: int) -> int:
-        return self.houses[agent - 1]
-
     def mapping(self) -> dict[int, int]:
         """Agent -> house dict view (both 1-based)."""
         return {agent + 1: house for agent, house in enumerate(self.houses)}
@@ -63,8 +60,9 @@ class IterationRecord:
     """One pass of the solve loop, as `SolveTrace.iterations` derives it.
 
     ``available`` is the house set on offer when the pass started.
-    ``violator`` is the `hall_violator` of the pass's favorites graph, whose
-    neighborhood the pass removed, or None on the final, saturating pass.
+    ``violator`` is what `violator_or_matching` found in the pass's favorites
+    graph, whose neighborhood the pass removed, or None on the final,
+    saturating pass.
     """
 
     available: frozenset[int]

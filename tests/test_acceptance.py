@@ -16,7 +16,7 @@ from pathlib import Path
 import efhouse
 
 from conftest import profile_from_orders, random_bipartite_graph, random_tie_profile, violator_is_subset_minimal
-from efhouse.bigraph import hall_violator, maximum_matching, neighborhood
+from efhouse.bigraph import Matching, maximum_matching, neighborhood, violator_or_matching
 from efhouse.oracle import brute_force_hall_check, enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import PreferenceProfile, parse_profile
 from efhouse.randmodel import estimate_existence_probability
@@ -103,9 +103,9 @@ def test_criterion_4_hall_violator_certification():
         n_left = rng.randint(1, 10)
         n_right = rng.randint(1, 10)
         graph = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.05, 0.7))
-        violator = hall_violator(graph)
-        assert (violator is None) == (maximum_matching(graph).size() == graph.n_left)
-        if violator is None:
+        violator = violator_or_matching(graph)
+        assert isinstance(violator, Matching) == (maximum_matching(graph).size() == graph.n_left)
+        if isinstance(violator, Matching):
             continue
         assert len(violator.vertices) == len(violator.neighborhood) + 1
         assert violator.neighborhood == neighborhood(graph, violator.vertices)

@@ -19,7 +19,6 @@ from efhouse.bigraph import (
     Matching,
     _alternating_tree,
     format_alternating_digraph,
-    hall_violator,
     maximum_matching,
     neighborhood,
     violator_or_matching,
@@ -63,7 +62,19 @@ def test_graph_validates_adjacency():
         BipartiteGraph(1, 2, ((0, 1),))  # below range
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, ((1, 3),))  # above range
+    with pytest.raises(ValueError, match="^vertex counts must be nonnegative$"):
+        BipartiteGraph(-1, 2, ())
+    with pytest.raises(ValueError, match="^vertex counts must be nonnegative$"):
+        BipartiteGraph(0, -1, ())
+    with pytest.raises(ValueError, match="^expected 2 adjacency rows, got 1$"):
+        BipartiteGraph(2, 2, ((1,),))
     assert BipartiteGraph(2, 2, ((), (1, 2))).adj == ((), (1, 2))
+
+
+@pytest.mark.parametrize("vertices, joint", [({1, 2}, {1, 2}), ({1, 2, 3}, {1})])
+def test_hall_violator_needs_one_more_vertex_than_neighbors(vertices, joint):
+    with pytest.raises(ValueError, match="^violator must have exactly one more vertex"):
+        HallViolator(frozenset(vertices), frozenset(joint))
 
 
 def test_matching_rejects_shared_vertex():
@@ -106,17 +117,17 @@ def test_maximum_matching_has_no_augmenting_path(g):
 
 def test_is_saturating_perfect_matching():
     g = graph(3, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
-    assert hall_violator(g) is None
+    assert isinstance(violator_or_matching(g), Matching)
 
 
 def test_is_saturating_false_by_pigeonhole():
     g = graph(3, 2, [(x, y) for x in (1, 2, 3) for y in (1, 2)])
-    assert hall_violator(g) is not None
+    assert not isinstance(violator_or_matching(g), Matching)
 
 
 def test_minimal_violator_smallest_case():
     g = graph(2, 1, [(1, 1), (2, 1)])
-    violator = hall_violator(g)
+    violator = violator_or_matching(g)
     assert violator.vertices == {1, 2}
     assert violator.neighborhood == {1}
 
@@ -124,7 +135,7 @@ def test_minimal_violator_smallest_case():
 def test_minimal_violator_three_agent_chain():
     g = graph(3, 2, [(1, 1), (2, 1), (2, 2), (3, 2)])
     assert maximum_matching(g).left_to_right() == {1: 1, 2: 2}
-    violator = hall_violator(g)
+    violator = violator_or_matching(g)
     assert violator.vertices == {1, 2, 3}
     assert violator.neighborhood == {1, 2}
     assert violator_is_subset_minimal(g, violator.vertices)
@@ -132,20 +143,20 @@ def test_minimal_violator_three_agent_chain():
 
 def test_minimal_violator_isolated_seed():
     g = graph(2, 1, [(2, 1)])
-    violator = hall_violator(g)
+    violator = violator_or_matching(g)
     assert violator.vertices == {1}
     assert violator.neighborhood == set()
 
 
 def test_minimal_violator_rejects_saturating_matching():
     g = graph(2, 2, [(1, 1), (2, 2)])
-    assert hall_violator(g) is None
+    assert isinstance(violator_or_matching(g), Matching)
 
 
 def test_minimal_violator_seed_is_lowest_unmatched():
     # vertices 1 and 3 compete for the single right vertex; 2 is isolated
     g = graph(3, 1, [(1, 1), (3, 1)])
-    violator = hall_violator(g)
+    violator = violator_or_matching(g)
     assert violator.vertices == {2}
 
 
@@ -153,7 +164,7 @@ def test_violator_is_the_first_closed_tree_not_a_later_one():
     # 1 and 2 share right vertex 1 and close the first tree; 3 and 4 would
     # close a second one around right vertex 2
     g = graph(4, 2, [(1, 1), (2, 1), (3, 2), (4, 2)])
-    assert hall_violator(g).vertices == {1, 2}
+    assert violator_or_matching(g).vertices == {1, 2}
     assert alternating_reach(g) == {1, 2}
 
 
@@ -164,8 +175,8 @@ def test_random_violators_satisfy_all_invariants():
         n_left = rng.randint(1, 8)
         n_right = rng.randint(1, 8)
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.1, 0.6))
-        violator = hall_violator(g)
-        if violator is None:
+        violator = violator_or_matching(g)
+        if isinstance(violator, Matching):
             continue
         assert len(violator.vertices) == len(violator.neighborhood) + 1
         assert violator.neighborhood == neighborhood(g, violator.vertices)
@@ -187,8 +198,9 @@ def test_violator_or_matching_is_the_violator_else_the_maximum_matching():
             assert found == maximum_matching(g)  # pair for pair
             assert found.size() == g.n_left
         else:
-            assert found == hall_violator(g)
+            assert isinstance(found, HallViolator)
             assert found.vertices == reach
+            assert found.neighborhood == neighborhood(g, found.vertices)
     assert 50 < saturating < 350  # both outcomes are exercised
 
 
@@ -252,9 +264,9 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.01, 0.2))
         matching = maximum_matching(g)
         assert reference_matching_sizes(g) == (matching.size(), matching.size())
-        violator = hall_violator(g)
-        assert (violator is None) == (matching.size() == g.n_left)
-        if violator is None:
+        violator = violator_or_matching(g)
+        assert isinstance(violator, Matching) == (matching.size() == g.n_left)
+        if isinstance(violator, Matching):
             assert alternating_reach(g) is None
         else:
             assert violator.vertices == alternating_reach(g)
@@ -266,7 +278,7 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
 @given(bipartite_graphs(max_left=6, max_right=6))
 def test_hall_condition_matches_saturation(g):
     saturating = maximum_matching(g).size() == g.n_left
-    assert (hall_violator(g) is None) == saturating == (not brute_force_hall_check(g))
+    assert isinstance(violator_or_matching(g), Matching) == saturating == (not brute_force_hall_check(g))
 
 
 def test_alternating_digraph_dump():

@@ -162,7 +162,25 @@ def test_oracle_flags_disagreement(golden_file, capsys, monkeypatch):
     monkeypatch.setattr(solver, "envy_free_assignment", broken)
     code, out, _ = run_cli(capsys, "oracle", golden_file)
     assert code == 3
-    assert "DISAGREEMENT" in out
+    assert out.splitlines()[-1] == "DISAGREEMENT: solver and enumeration differ on existence"
+
+
+@pytest.mark.parametrize(
+    "text, found, verdict",
+    [
+        (GOLDEN, Assignment((1, 2)), "DISAGREEMENT: solver output is not among the enumerated assignments"),
+        # envy-free, but agent 1 prefers house 1, which nobody holds
+        ("1 2\n1 > 2\n", Assignment((2,)), "pareto-among-envy-free: NO"),
+    ],
+    ids=["not enumerated", "dominated"],
+)
+def test_oracle_flags_a_wrong_assignment(text, found, verdict, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    monkeypatch.setattr(solver, "envy_free_assignment", lambda profile: (found, None))
+    code, out, _ = run_cli(capsys, "oracle", str(path))
+    assert code == 3
+    assert out.splitlines()[-1] == verdict
 
 
 def test_simulate_expands_logarithmic_house_count(capsys):
@@ -250,12 +268,32 @@ def test_simulate_deterministic_output(capsys):
         ["simulate", "--n", "5", "--sweep", "3:8:1", "--trials", "5"],  # m = 3, 4 too few
         # rejected on its first house count, before the sweep is expanded
         ["simulate", "--n", "2", "--sweep", "1:1000000000000:1", "--trials", "1"],
+        # shapes that overflow numpy's size arithmetic before anything is allocated
+        ["simulate", "--n", "2", "--m", "2305843009213693952", "--trials", "1"],
+        ["simulate", "--n", "10000000000000000000", "--m", "10000000000000000000", "--trials", "1"],
+        ["simulate", "--n", "10000000000", "--m", "3nlogn", "--trials", "1"],
     ],
 )
 def test_simulate_rejects_bad_parameters(argv, capsys):
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--sweep", "1:2"], "error: --sweep expects m1:m2:step\n"),
+        (["--n", "3", "--sweep", "a:b:c"], "error: --sweep expects integers m1:m2:step\n"),
+        (
+            ["--n", "10000000000", "--m", "3nlogn"],
+            "error: cannot hold the utilities of 10000000000 agents and 690775527899 houses\n",
+        ),
+    ],
+)
+def test_simulate_error_names_the_fault(argv, message, capsys):
+    assert run_cli(capsys, "simulate", *argv, "--trials", "1") == (2, "", message)
 
 
 @pytest.mark.parametrize(

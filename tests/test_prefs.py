@@ -102,6 +102,12 @@ def test_parse_accepts_every_form_the_line_parser_accepts(text, ranks):
     assert profile == _parse_lines(text)
 
 
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (-1, 1)])
+def test_profile_needs_an_agent_and_a_house(n, m):
+    with pytest.raises(ProfileError, match="^profile needs at least one agent and one house$"):
+        PreferenceProfile(n, m, ())
+
+
 def test_profile_rejects_ragged_ranks():
     with pytest.raises(ProfileError):
         PreferenceProfile(2, 2, ((1, 2), (1,)))

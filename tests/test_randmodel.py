@@ -47,6 +47,13 @@ def test_sampling_is_deterministic_per_seed():
     assert np.array_equal(first.values, second.values)
 
 
+@pytest.mark.parametrize("sample", [sample_strict_profile, sample_utilities])
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (-1, 2)])
+def test_sampling_needs_an_agent_and_a_house(sample, n, m):
+    with pytest.raises(ValueError, match="^need at least one agent and one house$"):
+        sample(n, m, seed=1)
+
+
 def test_negative_seed_rejected(monkeypatch):
     with pytest.raises(ValueError):
         sample_strict_profile(2, 2, seed=-1)
@@ -562,7 +569,18 @@ def test_estimate_rejects_no_agents_before_drawing(n, m, monkeypatch):
 
 
 def test_stats_validation():
-    with pytest.raises(ValueError):
-        MonteCarloStats(2, 3, 10, 11, 0, 1.1, 0)
-    with pytest.raises(ValueError):
-        MonteCarloStats(2, 3, 10, 4, 5, 0.4, 0)
+    with pytest.raises(ValueError, match="^successes must lie in 0..trials$"):
+        MonteCarloStats(2, 3, 10, 11, 0, 0)
+    with pytest.raises(ValueError, match="^mechanism successes cannot exceed solver successes$"):
+        MonteCarloStats(2, 3, 10, 4, 5, 0)
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        MonteCarloStats(2, 3, 0, 0, 0, 0)
+
+
+def test_stats_success_fraction_is_derived():
+    stats = MonteCarloStats(2, 3, 8, 3, 1, 0)
+    assert stats.success_fraction == 3 / 8
+    with pytest.raises(TypeError):
+        MonteCarloStats(2, 3, 10, 5, 1, 0.9, 0)
+    with pytest.raises(AttributeError):
+        stats.success_fraction = 0.5

@@ -87,6 +87,15 @@ def test_assignment_rejects_duplicates():
         Assignment((1, 1))
 
 
+@pytest.mark.parametrize(
+    "houses, message",
+    [((), "assignment must cover at least one agent"), ((2, 0), "house ids are 1-based")],
+)
+def test_assignment_rejects_empty_and_zero_houses(houses, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Assignment(houses)
+
+
 def test_solver_is_deterministic():
     rng = random.Random(5)
     for _ in range(40):
@@ -124,7 +133,7 @@ def test_solver_sound_and_complete_with_ties(profile):
         assert verify_envy_free(profile, assignment)
         final = trace.iterations[-1]
         for agent in range(1, profile.n_agents + 1):
-            assert assignment.house_of(agent) in top_choices(
+            assert assignment.houses[agent - 1] in top_choices(
                 profile, agent, set(final.available)
             )
 
