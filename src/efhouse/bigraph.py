@@ -18,25 +18,26 @@ class BipartiteGraph:
     """Bipartite graph on left vertices 1..n_left and right vertices 1..n_right.
 
     ``adj[x - 1]`` holds the right-side neighbors of left vertex ``x`` as a
-    sorted, duplicate-free tuple. Immutable once built; the constructor
-    checks every row.
+    sorted, duplicate-free tuple, so ``n_left`` is ``len(adj)``. Immutable
+    once built; the constructor checks every row.
     """
 
-    n_left: int
     n_right: int
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n_left < 0 or self.n_right < 0:
-            raise ValueError("vertex counts must be nonnegative")
-        if len(self.adj) != self.n_left:
-            raise ValueError(f"expected {self.n_left} adjacency rows, got {len(self.adj)}")
+        if self.n_right < 0:
+            raise ValueError("right vertex count must be nonnegative")
         for row in self.adj:
             if list(row) != sorted(set(row)):
                 raise ValueError("adjacency rows must be sorted and duplicate-free")
             # a sorted row is in range when its two ends are
             if row and (row[0] < 1 or row[-1] > self.n_right):
                 raise ValueError(f"right vertex out of range 1..{self.n_right}")
+
+    @property
+    def n_left(self) -> int:
+        return len(self.adj)
 
 
 @dataclass(frozen=True)

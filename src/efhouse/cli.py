@@ -1,7 +1,8 @@
 """Command line front-end: solve instances, certify small ones, run simulations.
 
 Exit codes: 0 = solved/success, 1 = proven nonexistence, 2 = usage or input
-error, 3 = oracle disagreement.
+error, 3 = oracle disagreement, 141 = stdout closed before the output was
+written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE stops).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from . import bigraph, oracle, randmodel, solver
@@ -53,7 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered nowhere, so the flush
+        # at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         ProfileError,
         solver.InvalidInstanceError,
@@ -82,7 +91,7 @@ def run_solve(args: argparse.Namespace) -> int:
     if args.dump_digraph:
         # the trace keeps only the removals, so replay the passes for their graphs
         for index, (rows, _) in enumerate(solver.solve_passes(profile), start=1):
-            graph = bigraph.BipartiteGraph(profile.n_agents, profile.n_houses, rows)
+            graph = bigraph.BipartiteGraph(profile.n_houses, rows)
             print(f"# iteration {index} alternating digraph", file=sys.stderr)
             matching = bigraph.maximum_matching(graph)
             print(bigraph.format_alternating_digraph(graph, matching), file=sys.stderr)
@@ -115,8 +124,8 @@ def _print_text_result(assignment, trace, show_trace: bool) -> None:
 
 def run_oracle(args: argparse.Namespace) -> int:
     profile = _load_profile(args.file)
+    all_ef = oracle.enumerate_ef_assignments(profile)  # first: it holds the size guard
     assignment, _ = solver.envy_free_assignment(profile)
-    all_ef = oracle.enumerate_ef_assignments(profile)
     print(f"solver: {'found' if assignment is not None else 'none'}")
     print(f"oracle: {len(all_ef)} envy-free assignment(s)")
     if (assignment is not None) != bool(all_ef):

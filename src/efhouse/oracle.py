@@ -32,7 +32,7 @@ def enumerate_ef_assignments(profile: PreferenceProfile) -> list[Assignment]:
     require_enough_houses(n, m)
     if math.perm(m, n) > ENUMERATION_LIMIT:
         raise InstanceTooLargeError(
-            f"{math.perm(m, n)} candidate assignments exceed the guard of {ENUMERATION_LIMIT}"
+            f"{n} agents and {m} houses exceed the guard of {ENUMERATION_LIMIT} candidate assignments"
         )
     ranks = profile.ranks.tolist()
     found = []

@@ -34,67 +34,59 @@ class PreferenceProfile:
     ``WORST_RANK`` that fit in int64. Agent and house ids are 1-based at the
     API boundary.
 
-    ``ranks`` may be given as rows of ints or as an integer array; it is kept
-    as a read-only ``(n_agents, n_houses)`` int64 array (``ranks.tolist()``
-    gives Python rows). A writeable array is copied, so the caller's later
-    writes do not reach the profile. Instances are immutable, hashable and
+    ``ranks`` may be given as rows of ints or as an integer array, at least
+    one row of at least one rank. The profile copies it into a read-only
+    ``(n_agents, n_houses)`` int64 array (``ranks.tolist()`` gives Python
+    rows), so no later write to the given object reaches the profile; the
+    two counts are read off its shape. Instances are immutable, hashable and
     safe to share across threads. `_stacked_profiles` builds simulated
     trials' profiles without these checks and copies, under the conditions
     its docstring states.
     """
 
-    n_agents: int
-    n_houses: int
     ranks: np.ndarray
 
     def __post_init__(self):
-        if self.n_agents < 1 or self.n_houses < 1:
-            raise ProfileError("profile needs at least one agent and one house")
-        object.__setattr__(self, "ranks", _rank_matrix(self.ranks, self.n_agents, self.n_houses))
+        object.__setattr__(self, "ranks", _rank_matrix(self.ranks))
+
+    @property
+    def n_agents(self) -> int:
+        return self.ranks.shape[0]
+
+    @property
+    def n_houses(self) -> int:
+        return self.ranks.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, PreferenceProfile):
             return NotImplemented
-        return self.ranks.shape == other.ranks.shape and np.array_equal(self.ranks, other.ranks)
+        return np.array_equal(self.ranks, other.ranks)
 
     def __hash__(self):
         return hash((self.ranks.shape, self.ranks.tobytes()))
 
 
-def _rank_matrix(ranks, n: int, m: int) -> np.ndarray:
-    """``ranks`` as a read-only ``(n, m)`` int64 array, checked."""
-    if not isinstance(ranks, np.ndarray):
-        if len(ranks) != n:
-            raise ProfileError(f"expected {n} rank rows, got {len(ranks)}")
-        for row in ranks:
-            if len(row) != m:
-                raise ProfileError(f"expected {m} ranks per agent, got {len(row)}")
-    elif ranks.ndim == 2 and ranks.shape[0] != n:
-        raise ProfileError(f"expected {n} rank rows, got {ranks.shape[0]}")
-    elif ranks.ndim == 2 and ranks.shape[1] != m:
-        raise ProfileError(f"expected {m} ranks per agent, got {ranks.shape[1]}")
-    # a read-only int64 array that views no other array is taken as it is;
-    # anything else is copied
-    if not (
-        isinstance(ranks, np.ndarray)
-        and ranks.dtype == np.int64
-        and ranks.base is None
-        and not ranks.flags.writeable
-    ):
+def _rank_matrix(ranks) -> np.ndarray:
+    """A checked, read-only int64 copy of ``ranks``."""
+    try:
         array = np.array(ranks)
-        if array.dtype.kind == "O" and all(type(v) is int for v in array.flat):
-            raise ProfileError(f"rank values must fit in int64, got {max(array.flat, key=abs)}")
-        if array.dtype.kind not in "iu":
-            raise ProfileError(f"ranks must be integers, got {array.dtype} values")
-        if array.dtype.kind == "u" and array.size and array.max() > WORST_RANK:
-            raise ProfileError(f"rank values must fit in int64, got {array.max()}")
-        ranks = array.astype(np.int64, copy=False)
-        ranks.flags.writeable = False
-    if ranks.shape != (n, m):
-        raise ProfileError(f"ranks must form a {n} x {m} matrix, got shape {ranks.shape}")
-    if ranks.max() == WORST_RANK:
+    except ValueError:
+        raise ProfileError("rank rows must all have the same length") from None
+    if array.size == 0:
+        raise ProfileError("profile needs at least one agent and one house")
+    if array.ndim != 2:
+        raise ProfileError(f"ranks must form a 2-d matrix, got shape {array.shape}")
+    if array.dtype.kind == "O" and all(type(v) is int for v in array.flat):
+        raise ProfileError(f"rank values must fit in int64, got {max(array.flat, key=abs)}")
+    if array.dtype.kind not in "iu":
+        raise ProfileError(f"ranks must be integers, got {array.dtype} values")
+    if array.dtype.kind == "u" and array.max() > WORST_RANK:
+        raise ProfileError(f"rank values must fit in int64, got {array.max()}")
+    array = array.astype(np.int64, copy=False)
+    if array.max() == WORST_RANK:
         raise ProfileError(f"rank values must lie below {WORST_RANK}")
-    return ranks
+    array.flags.writeable = False
+    return array
 
 
 def _stacked_profiles(ranks: np.ndarray) -> Iterator[PreferenceProfile]:
@@ -106,11 +98,8 @@ def _stacked_profiles(ranks: np.ndarray) -> Iterator[PreferenceProfile]:
     write to the array ``ranks`` views while a profile is in use.
     """
     ranks.flags.writeable = False
-    _, n, m = ranks.shape
     for matrix in ranks:
         profile = object.__new__(PreferenceProfile)
-        object.__setattr__(profile, "n_agents", n)
-        object.__setattr__(profile, "n_houses", m)
         object.__setattr__(profile, "ranks", matrix)
         yield profile
 
@@ -168,7 +157,7 @@ def _parse_lines(text: str) -> PreferenceProfile:
             f"expected rankings for {n} agents, found only {len(rows)}",
             line=len(lines) + 1,
         )
-    return PreferenceProfile(n, m, tuple(rows))
+    return PreferenceProfile(tuple(rows))
 
 
 def _parse_ranking(raw: str, line: int, m: int) -> tuple[int, ...]:
@@ -242,8 +231,7 @@ def _parse_plain(text: str) -> PreferenceProfile | None:
         kind = np.frombuffer(text[lo : ends[-1]].encode("ascii").translate(_BYTE_KIND), np.uint8)
         if not _plain_rows(kind, np.array(ends[:-1], dtype=np.intp) - lo, ranks[first : first + step]):
             return None
-    ranks.flags.writeable = False
-    return PreferenceProfile(n, m, ranks)
+    return PreferenceProfile(ranks)
 
 
 def _plain_rows(kind: np.ndarray, breaks: np.ndarray, out: np.ndarray) -> bool:

@@ -179,7 +179,7 @@ def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
         raise ValueError("need at least one agent and one house")
     rng = _generator(seed)
     orders = np.stack([rng.permutation(m) for _ in range(n)])
-    return PreferenceProfile(n, m, _ranks_from_orders(orders))
+    return PreferenceProfile(_ranks_from_orders(orders))
 
 
 def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
@@ -196,7 +196,7 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     they occur anyway they break toward the lower house id.
     """
     orders = np.argsort(-utilities.values, axis=1, kind="stable")
-    return PreferenceProfile(*orders.shape, _ranks_from_orders(orders))
+    return PreferenceProfile(_ranks_from_orders(orders))
 
 
 # `Generator.random` returns multiples of 2**-53, so a utility u on that grid
@@ -229,11 +229,10 @@ def _packed_keys(values: np.ndarray) -> np.ndarray | None:
 
 
 def _ranks_from_orders(orders: np.ndarray) -> np.ndarray:
-    """Read-only dense ranks whose row ``i`` ranks house ``orders[i, k] + 1`` k-th."""
+    """Dense ranks whose row ``i`` ranks house ``orders[i, k] + 1`` k-th."""
     rows, m = orders.shape
     ranks = np.empty((rows, m), dtype=np.int64)
     ranks[np.arange(rows)[:, None], orders] = np.arange(1, m + 1)
-    ranks.flags.writeable = False  # a profile takes it over without a copy
     return ranks
 
 

@@ -25,7 +25,7 @@ def profile_from_orders(*orders: tuple[int, ...]) -> PreferenceProfile:
         for position, house in enumerate(order, start=1):
             ranks[house - 1] = position
         rows.append(tuple(ranks))
-    return PreferenceProfile(len(orders), m, tuple(rows))
+    return PreferenceProfile(tuple(rows))
 
 
 def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> set[int]:
@@ -62,7 +62,7 @@ def graph_from_edges(n_left: int, n_right: int, edges) -> BipartiteGraph:
         if not 1 <= x <= n_left:
             raise ValueError(f"left vertex {x} out of range 1..{n_left}")
         neighbors[x - 1].add(y)
-    return BipartiteGraph(n_left, n_right, tuple(tuple(sorted(s)) for s in neighbors))
+    return BipartiteGraph(n_right, tuple(tuple(sorted(s)) for s in neighbors))
 
 
 def random_strict_profile(rng: random.Random, n: int, m: int) -> PreferenceProfile:
@@ -90,7 +90,7 @@ def random_tie_profile(
                 group_rank = position + 1
             ranks[order[position] - 1] = group_rank
         rows.append(tuple(ranks))
-    return PreferenceProfile(n, m, tuple(rows))
+    return PreferenceProfile(tuple(rows))
 
 
 def tiered_profile(n: int, m: int, tier: int, seed: int, popularity: float = 0.0) -> PreferenceProfile:
@@ -107,7 +107,7 @@ def tiered_profile(n: int, m: int, tier: int, seed: int, popularity: float = 0.0
     orders = np.argsort(score, axis=1)
     ranks = np.empty((n, m), dtype=np.int64)
     np.put_along_axis(ranks, orders, np.arange(m) // tier * tier + 1, axis=1)
-    return PreferenceProfile(n, m, ranks)
+    return PreferenceProfile(ranks)
 
 
 def random_bipartite_graph(
@@ -227,7 +227,7 @@ def tie_profiles(draw, max_agents: int = 4, max_houses: int = 5, min_houses: int
                 group_rank = position + 1
             ranks[order[position] - 1] = group_rank
         rows.append(tuple(ranks))
-    return PreferenceProfile(n, m, tuple(rows))
+    return PreferenceProfile(tuple(rows))
 
 
 @st.composite
@@ -251,4 +251,4 @@ def bipartite_graphs(draw, max_left: int = 6, max_right: int = 6):
             st.sets(st.integers(1, n_right), min_size=0, max_size=n_right)
         )
         rows.append(tuple(sorted(neighbors)))
-    return BipartiteGraph(n_left, n_right, tuple(rows))
+    return BipartiteGraph(n_right, tuple(rows))

@@ -53,22 +53,20 @@ def test_neighborhood_rejects_unknown_vertex():
 
 def test_graph_validates_adjacency():
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, ((2, 1),))  # unsorted
+        BipartiteGraph(2, ((2, 1),))  # unsorted
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, ((3,),))  # out of range
+        BipartiteGraph(2, ((3,),))  # out of range
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, ((1, 1),))  # duplicate
+        BipartiteGraph(2, ((1, 1),))  # duplicate
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, ((0, 1),))  # below range
+        BipartiteGraph(2, ((0, 1),))  # below range
     with pytest.raises(ValueError):
-        BipartiteGraph(1, 2, ((1, 3),))  # above range
-    with pytest.raises(ValueError, match="^vertex counts must be nonnegative$"):
-        BipartiteGraph(-1, 2, ())
-    with pytest.raises(ValueError, match="^vertex counts must be nonnegative$"):
-        BipartiteGraph(0, -1, ())
-    with pytest.raises(ValueError, match="^expected 2 adjacency rows, got 1$"):
-        BipartiteGraph(2, 2, ((1,),))
-    assert BipartiteGraph(2, 2, ((), (1, 2))).adj == ((), (1, 2))
+        BipartiteGraph(2, ((1, 3),))  # above range
+    with pytest.raises(ValueError, match="^right vertex count must be nonnegative$"):
+        BipartiteGraph(-1, ())
+    graph = BipartiteGraph(2, ((), (1, 2)))
+    assert graph.adj == ((), (1, 2)) and graph.n_left == 2
+    assert BipartiteGraph(0, ()).n_left == 0
 
 
 @pytest.mark.parametrize("vertices, joint", [({1, 2}, {1, 2}), ({1, 2, 3}, {1})])
@@ -240,7 +238,7 @@ def test_direct_claims_match_a_tree_from_every_start():
             ]
         if rows and trial % 5 == 0:
             rows[rng.randrange(len(rows))] = ()  # an agent with no neighbor
-        g = BipartiteGraph(n_left, n_right, tuple(rows))
+        g = BipartiteGraph(n_right, tuple(rows))
         owner: dict[int, int] = {}
         tree = next(tree_per_start_closed_trees(g, owner), None)
         if tree is None:

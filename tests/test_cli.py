@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efhouse
 from efhouse import cli, oracle, randmodel, solver
 from efhouse.prefs import parse_profile
 from efhouse.solver import Assignment, verify_envy_free
@@ -165,6 +170,17 @@ def test_oracle_flags_disagreement(golden_file, capsys, monkeypatch):
     assert out.splitlines()[-1] == "DISAGREEMENT: solver and enumeration differ on existence"
 
 
+@pytest.mark.parametrize("n, m", [(11, 11), (60, 120)])
+def test_oracle_checks_its_size_guard_before_solving(n, m, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{n} {m}\n" + "".join(" > ".join(map(str, range(1, m + 1))) + "\n" for _ in range(n)))
+    solves = []
+    monkeypatch.setattr(solver, "envy_free_assignment", lambda profile: solves.append(profile))
+    code, out, err = run_cli(capsys, "oracle", str(path))
+    assert (code, out, solves) == (2, "", [])
+    assert err == f"error: {n} agents and {m} houses exceed the guard of 10000000 candidate assignments\n"
+
+
 @pytest.mark.parametrize(
     "text, found, verdict",
     [
@@ -305,3 +321,35 @@ def test_simulate_error_names_the_fault(argv, message, capsys):
 )
 def test_simulate_names_too_few_houses(argv, message, capsys):
     assert run_cli(capsys, "simulate", *argv, "--trials", "5") == (2, "", message)
+
+
+def efhouse_command(*argv):
+    """``python -m efhouse`` with this test's efhouse importable, and its environment."""
+    package_root = str(Path(efhouse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "efhouse", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_exits_141_without_an_error_line():
+    # the reader leaves after the first line while the sweep is still writing
+    argv, env = efhouse_command("simulate", "--n", "2", "--sweep", "2:50000:1", "--trials", "1")
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline() == b"n,m,trials,successes,mechanism_successes,success_fraction,seed\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_stdout_without_a_reader_exits_141(golden_file):
+    # output this short is only flushed as the run ends
+    argv, env = efhouse_command("solve", golden_file, "--format", "text", "--trace")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

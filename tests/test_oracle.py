@@ -85,6 +85,6 @@ def test_hall_check_reports_only_minimal_sets():
 
 
 def test_hall_check_size_guard():
-    g = BipartiteGraph(13, 1, tuple(() for _ in range(13)))
+    g = BipartiteGraph(1, tuple(() for _ in range(13)))
     with pytest.raises(InstanceTooLargeError):
         brute_force_hall_check(g)

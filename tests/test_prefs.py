@@ -102,31 +102,40 @@ def test_parse_accepts_every_form_the_line_parser_accepts(text, ranks):
     assert profile == _parse_lines(text)
 
 
-@pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (-1, 1)])
+NEEDS_A_HOUSE = "profile needs at least one agent and one house"
+RAGGED = "rank rows must all have the same length"
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
 def test_profile_needs_an_agent_and_a_house(n, m):
-    with pytest.raises(ProfileError, match="^profile needs at least one agent and one house$"):
-        PreferenceProfile(n, m, ())
+    for ranks in (np.ones((n, m), dtype=np.int64), [[1] * m for _ in range(n)]):
+        with pytest.raises(ProfileError) as err:
+            PreferenceProfile(ranks)
+        assert str(err.value) == NEEDS_A_HOUSE
 
 
 def test_profile_rejects_ragged_ranks():
-    with pytest.raises(ProfileError):
-        PreferenceProfile(2, 2, ((1, 2), (1,)))
+    with pytest.raises(ProfileError) as err:
+        PreferenceProfile(((1, 2), (1,)))
+    assert str(err.value) == RAGGED
 
 
 @pytest.mark.parametrize(
     "ranks, message",
     [
-        (((1, 2),), "expected 2 rank rows, got 1"),
-        ([[1, 2], [1]], "expected 2 ranks per agent, got 1"),
-        (np.array([[1, 2]]), "expected 2 rank rows, got 1"),
-        (np.array([[1, 2, 3], [1, 2, 3]]), "expected 2 ranks per agent, got 3"),
-        (np.array([1, 2, 1, 2]), "ranks must form a 2 x 2 matrix, got shape (4,)"),
+        (((1, 2), (1, 2, 3)), RAGGED),
+        ([[1, 2], [1]], RAGGED),
+        (np.array([1, 2, 1, 2]), "ranks must form a 2-d matrix, got shape (4,)"),
+        ([1, 2], "ranks must form a 2-d matrix, got shape (2,)"),
+        (np.ones((1, 2, 2), dtype=np.int64), "ranks must form a 2-d matrix, got shape (1, 2, 2)"),
+        ((), NEEDS_A_HOUSE),
+        (((),), NEEDS_A_HOUSE),
     ],
-    ids=["tuple rows", "list row", "array rows", "array row", "flat array"],
+    ids=["tuple rows", "list row", "flat array", "flat list", "3-d array", "no rows", "empty row"],
 )
 def test_profile_shape_errors(ranks, message):
     with pytest.raises(ProfileError) as err:
-        PreferenceProfile(2, 2, ranks)
+        PreferenceProfile(ranks)
     assert str(err.value) == message
 
 
@@ -148,21 +157,22 @@ def test_profile_shape_errors(ranks, message):
 )
 def test_profile_rejects_ranks_that_are_not_int64_below_the_sentinel(ranks):
     with pytest.raises(ProfileError):
-        PreferenceProfile(1, 2, ranks)
+        PreferenceProfile(ranks)
 
 
 def test_profile_accepts_negative_sparse_and_extreme_ranks():
     low = -(2**63)
-    profile = PreferenceProfile(1, 4, ((-5, 10**12, low, WORST_RANK - 1),))
+    profile = PreferenceProfile(((-5, 10**12, low, WORST_RANK - 1),))
     assert profile.ranks.tolist() == [[-5, 10**12, low, WORST_RANK - 1]]
     assert profile.ranks.dtype == np.int64
-    small = PreferenceProfile(1, 2, np.array([[2, 1]], dtype=np.int8))
+    assert (profile.n_agents, profile.n_houses) == (1, 4)
+    small = PreferenceProfile(np.array([[2, 1]], dtype=np.int8))
     assert small.ranks.dtype == np.int64 and small.ranks.tolist() == [[2, 1]]
 
 
 def test_profile_copies_writeable_arrays_and_is_read_only():
     ranks = np.array([[1, 2], [2, 1]])
-    profile = PreferenceProfile(2, 2, ranks)
+    profile = PreferenceProfile(ranks)
     ranks[0, 0] = 9
     assert profile.ranks.tolist() == [[1, 2], [2, 1]]
     assert not profile.ranks.flags.writeable
@@ -172,16 +182,38 @@ def test_profile_copies_writeable_arrays_and_is_read_only():
     base = np.array([[1, 2], [2, 1]])
     view = base.view()
     view.flags.writeable = False
-    profile = PreferenceProfile(2, 2, view)
+    profile = PreferenceProfile(view)
     base[0, 0] = 9
     assert profile.ranks.tolist() == [[1, 2], [2, 1]]
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        [[1, 2], [2, 1]],
+        np.array([[1, 2], [2, 1]]),
+        _read_only(np.array([[1, 2], [2, 1]])),
+        _read_only(np.array([[1, 2, 9], [2, 1, 9]])[:, :2]),
+    ],
+    ids=["list rows", "writeable array", "read-only array", "read-only view"],
+)
+def test_profile_owns_its_ranks(given):
+    profile = PreferenceProfile(given)
+    assert not np.shares_memory(profile.ranks, given)
+    assert profile.ranks.tolist() == [[1, 2], [2, 1]]
+    assert (profile.n_agents, profile.n_houses) == (2, 2)
 
 
 def test_stacked_profiles_view_each_matrix_read_only():
     stack = np.array([[[1, 2, 3], [3, 1, 2]], [[2, 2, 1], [1, 3, 2]]])
     profiles = list(_stacked_profiles(stack))
     assert not stack.flags.writeable
-    assert profiles == [PreferenceProfile(2, 3, matrix) for matrix in stack]
+    assert profiles == [PreferenceProfile(matrix) for matrix in stack]
     for profile, matrix in zip(profiles, stack):
         assert (profile.n_agents, profile.n_houses) == (2, 3)
         assert profile.ranks.base is stack and not profile.ranks.flags.writeable
@@ -189,12 +221,12 @@ def test_stacked_profiles_view_each_matrix_read_only():
 
 
 def test_profile_equality_compares_shape_and_values():
-    from_rows = PreferenceProfile(2, 2, ((1, 2), (2, 1)))
-    from_array = PreferenceProfile(2, 2, np.array([[1, 2], [2, 1]], dtype=np.int32))
+    from_rows = PreferenceProfile(((1, 2), (2, 1)))
+    from_array = PreferenceProfile(np.array([[1, 2], [2, 1]], dtype=np.int32))
     assert from_rows == from_array and hash(from_rows) == hash(from_array)
     assert len({from_rows, from_array}) == 1
-    assert from_rows != PreferenceProfile(2, 2, ((1, 2), (1, 2)))
-    assert PreferenceProfile(1, 4, ((1, 2, 2, 1),)) != PreferenceProfile(2, 2, ((1, 2), (2, 1)))
+    assert from_rows != PreferenceProfile(((1, 2), (1, 2)))
+    assert PreferenceProfile(((1, 2, 2, 1),)) != PreferenceProfile(((1, 2), (2, 1)))
     assert from_rows != ((1, 2), (2, 1))
 
 

@@ -203,7 +203,7 @@ def argsort_existence_counts(n: int, m: int, trials: int, seed: int) -> tuple[in
         orders = np.argsort(-values, axis=1, kind="stable")
         ranks = np.empty((n, m), dtype=np.int64)
         np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
-        found, _ = envy_free_assignment(PreferenceProfile(n, m, ranks))
+        found, _ = envy_free_assignment(PreferenceProfile(ranks))
         successes += found is not None
         mechanism_successes += threshold_mechanism(UtilityMatrix(values)) is not None
     return successes, mechanism_successes
@@ -277,7 +277,7 @@ def key_ranked_profile(values: np.ndarray) -> PreferenceProfile:
     """The profile `estimate_existence_probability` solves: packed keys as ranks."""
     keys = randmodel._packed_keys(values)
     assert keys is not None
-    return PreferenceProfile(*values.shape, keys)
+    return PreferenceProfile(keys)
 
 
 def solve_json(profile: PreferenceProfile) -> str:

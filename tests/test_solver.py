@@ -189,9 +189,7 @@ def test_rank_values_matter_only_through_their_order():
         n = rng.randint(1, 12)
         profile = random_tie_profile(rng, n, n + rng.randint(0, 2 * n))
         rewritten = PreferenceProfile(
-            profile.n_agents,
-            profile.n_houses,
-            tuple(tuple(1000 * r - 5000 for r in row) for row in profile.ranks),
+            tuple(tuple(1000 * r - 5000 for r in row) for row in profile.ranks)
         )
         _, trace = envy_free_assignment(profile)
         _, rewritten_trace = envy_free_assignment(rewritten)
@@ -288,8 +286,7 @@ def test_held_trace_grows_with_the_removals_only():
 
 def pass_graphs(profile):
     """Each solve pass's favorites graph, rebuilt through `BipartiteGraph`'s row checks."""
-    n, m = profile.n_agents, profile.n_houses
-    return [BipartiteGraph(n, m, rows) for rows, _ in solver.solve_passes(profile)]
+    return [BipartiteGraph(profile.n_houses, rows) for rows, _ in solver.solve_passes(profile)]
 
 
 def assert_favorites_rows_fresh(profile, trace):
@@ -302,7 +299,7 @@ def assert_favorites_rows_fresh(profile, trace):
     assert [(sorted(rec.available), rec.violator) for rec in records] == list(trace.passes())
     assert records[0].available == set(range(1, profile.n_houses + 1))
     for (rows, found), rec in zip(solver.solve_passes(profile), records, strict=True):
-        graph = BipartiteGraph(profile.n_agents, profile.n_houses, rows)
+        graph = BipartiteGraph(profile.n_houses, rows)
         assert rows == tuple(
             tuple(sorted(top_choices(profile, agent, rec.available)))
             for agent in range(1, profile.n_agents + 1)
