@@ -47,9 +47,8 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        lefts = [x for x, _ in self.pairs]
-        rights = [y for _, y in self.pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        count = len(self.pairs)
+        if len({x for x, _ in self.pairs}) != count or len({y for _, y in self.pairs}) != count:
             raise ValueError("a vertex appears in two matching pairs")
 
     def size(self) -> int:

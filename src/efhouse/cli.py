@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -20,7 +21,13 @@ from .prefs import ProfileError, parse_profile
 DEFAULT_SEED = 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `main` parses every call with it.
+
+    Building costs about ten times as much as one parse. Parsing leaves the
+    parser unchanged, so every call shares it; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="efhouse",
         description="Envy-free house allocation: solver, certification oracle, simulation.",
@@ -82,7 +89,9 @@ def _load_profile(path: str):
             # read() decodes the whole file at once, so the offset is absolute
             bad = exc.object[exc.start]
             raise ProfileError(f"not UTF-8 text: byte 0x{bad:02x} at offset {exc.start}") from None
-    return parse_profile(text)
+    # a byte order mark is no part of the header; stripping it after decoding
+    # keeps the offsets above counted from the file's first byte
+    return parse_profile(text.removeprefix("\ufeff"))
 
 
 def run_solve(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ houses) or fewer houses than agents (a proof of nonexistence).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,7 @@ class Assignment:
     def __post_init__(self):
         if not self.houses:
             raise ValueError("assignment must cover at least one agent")
-        if any(h < 1 for h in self.houses):
+        if min(self.houses) < 1:
             raise ValueError("house ids are 1-based")
         if len(set(self.houses)) != len(self.houses):
             raise ValueError("a house is assigned to two agents")
@@ -85,13 +86,18 @@ class SolveTrace:
     def passes(self) -> Iterator[tuple[list[int], HallViolator | None]]:
         """Each pass's houses on offer, as a fresh ascending list, and its violator.
 
-        The violator is None on a saturating final pass.
+        The violator is None on a saturating final pass. The caller owns each
+        list: changing one leaves the passes after it as they were.
         """
         houses = list(range(1, self.n_houses + 1))
         for violator in self.violators:
-            yield houses, violator
-            removed = violator.neighborhood
-            houses = [house for house in houses if house not in removed]
+            yield houses.copy(), violator
+            for house in violator.neighborhood:
+                at = bisect_left(houses, house)
+                # a solve removes only houses on offer; a trace built by hand
+                # may list others, which are skipped
+                if houses[at : at + 1] == [house]:
+                    del houses[at]
         if self.assignment is not None:
             yield houses, None
 
@@ -118,8 +124,10 @@ def envy_free_assignment(
     assignment: Assignment | None = None
     for _, found in solve_passes(profile):
         if isinstance(found, Matching):
-            by_agent = found.left_to_right()
-            assignment = Assignment(tuple(by_agent[a] for a in range(1, profile.n_agents + 1)))
+            houses = [0] * profile.n_agents  # a saturating matching fills every slot
+            for agent, house in found.pairs:
+                houses[agent - 1] = house
+            assignment = Assignment(tuple(houses))
         else:
             violators.append(found)
     return assignment, SolveTrace(profile.n_houses, tuple(violators), assignment)
@@ -201,6 +209,12 @@ def _favorites(
         best[agents] = low[:, 0]
         hits = block == low
         houses = id_block[: len(agents)][hits].tolist()  # row by row, each in id order
+        if len(houses) == len(agents):
+            # every row attains its minimum, so as many hits as rows means
+            # one favorite per row: no row counts are needed
+            for agent, house in zip(agents.tolist(), houses):
+                rows[agent] = (house,)
+            continue
         end = 0
         for agent, count in zip(agents.tolist(), hits.sum(axis=1).tolist()):
             rows[agent] = tuple(houses[end : end + count])

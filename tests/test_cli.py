@@ -13,6 +13,7 @@ from efhouse.solver import Assignment, verify_envy_free
 
 GOLDEN = "2 3\n1 > 2 > 3\n1 > 3 > 2\n"
 NO_SOLUTION = "2 2\n1 > 2\n1 > 2\n"
+BOM = "\ufeff".encode()
 
 
 @pytest.fixture
@@ -24,6 +25,16 @@ def golden_file(tmp_path):
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_main(capsys, argv):
+    """`run_cli`, with an argparse exit read as its exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -114,6 +125,8 @@ def test_solve_exit_two_when_header_outgrows_file(tmp_path, capsys):
         (b"2 3\n1 > 2 > 3\n1 > \xc3(3 > 2\n", 18, 0xC3),  # cut-short multibyte
         # past the first 8 KiB, so the offset cannot be relative to a read chunk
         (b"2 3\n" + b" " * 10_000 + b"\x80", 10_004, 0x80),
+        # the offset counts the byte order mark's three bytes too
+        (BOM + GOLDEN.encode() + b"\xff\n", 3 + len(GOLDEN), 0xFF),
     ],
 )
 def test_non_utf8_file_exits_two_naming_the_byte(tmp_path, capsys, command, data, offset, byte):
@@ -123,6 +136,39 @@ def test_non_utf8_file_exits_two_naming_the_byte(tmp_path, capsys, command, data
     assert code == 2
     assert out == ""
     assert err == f"error: not UTF-8 text: byte 0x{byte:02x} at offset {offset}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["solve", "--format", "text", "--trace"], ["solve", "--dump-digraph"], ["oracle"]],
+    ids=["json", "text", "digraph", "oracle"],
+)
+@pytest.mark.parametrize("text", [GOLDEN, NO_SOLUTION], ids=["found", "none"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, argv, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    expected = run_cli(capsys, *argv, str(plain))
+    assert expected[0] in (0, 1)
+    assert run_cli(capsys, *argv, str(marked)) == expected
+
+
+def test_main_reuses_one_parser_and_matches_fresh_calls(golden_file, capsys):
+    calls = [
+        ["solve", golden_file, "--trace"],
+        ["solve", golden_file, "--format", "xml"],  # argparse usage error
+        ["simulate", "--n", "3", "--m", "5", "--trials", "40", "--seed", "4"],
+        ["oracle", golden_file],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_main(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert [run_main(capsys, argv) for argv in calls] == fresh
+    assert cli.build_parser() is parser
 
 
 def test_solve_exit_two_on_missing_file(capsys):

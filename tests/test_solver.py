@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -17,9 +18,9 @@ from conftest import (
     top_choices,
 )
 from efhouse import solver
-from efhouse.bigraph import BipartiteGraph, maximum_matching, neighborhood
+from efhouse.bigraph import BipartiteGraph, HallViolator, maximum_matching, neighborhood
 from efhouse.oracle import enumerate_ef_assignments, is_pareto_among_ef
-from efhouse.prefs import PreferenceProfile, parse_profile
+from efhouse.prefs import WORST_RANK, PreferenceProfile, parse_profile
 from efhouse.randmodel import sample_strict_profile
 from efhouse.solver import (
     Assignment,
@@ -248,6 +249,80 @@ def test_block_size_does_not_change_the_trace(wide_solve, rows_per_block, monkey
     _, blocked = envy_free_assignment(profile)
     assert result_json(blocked) == result_json(trace)
     assert [rows for rows, _ in solver.solve_passes(profile)] == expected
+
+
+BLOCK_SIZES = pytest.mark.parametrize("rows_per_block", [1, 7, None], ids=["1", "7", "default"])
+
+
+@BLOCK_SIZES
+def test_favorites_rows_match_each_row_in_single_favorite_and_mixed_blocks(rows_per_block):
+    # rows 0-10 have one favorite each, so the first 7-row block holds only
+    # such rows; after them tied rows alternate with single-favorite ones
+    rng = np.random.default_rng(8)
+    n, m = 30, 40
+    masked = np.array([rng.permutation(m) + 1 for _ in range(n)], dtype=np.int64)
+    for i in range(11, n, 2):
+        masked[i, rng.choice(m, 3, replace=False)] = 1
+    masked[:, [3, 17]] = WORST_RANK
+    step = rows_per_block or max(1, solver._BLOCK_CELLS // m)
+    for stale in (np.arange(n), np.flatnonzero(rng.random(n) < 0.6)):
+        best = np.zeros(n, np.int64)
+        rows = [None] * n
+        solver._favorites(masked, stale, solver._house_ids(m, step), best, rows)
+        for i in range(n):
+            if i in stale:
+                low = masked[i].min()
+                assert best[i] == low
+                assert rows[i] == tuple(int(h) + 1 for h in np.flatnonzero(masked[i] == low))
+            else:
+                assert (best[i], rows[i]) == (0, None)
+        assert [len(rows[i]) for i in stale if i < 11] == [1] * sum(stale < 11)
+        assert any(len(rows[i]) > 1 for i in stale)
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("ties", [False, True], ids=["strict", "tied"])
+def test_favorites_rows_fresh_at_any_block_size(ties, rows_per_block, monkeypatch):
+    # strict rows make every block single-favorite; tied rows mix both kinds
+    make = random_tie_profile if ties else random_strict_profile
+    profile = make(random.Random(41), 40, 60)
+    if rows_per_block is not None:
+        monkeypatch.setattr(solver, "_BLOCK_CELLS", rows_per_block * profile.n_houses)
+    _, trace = envy_free_assignment(profile)
+    assert len(trace.iterations) > 3
+    assert_favorites_rows_fresh(profile, trace)
+
+
+def filtering_passes(trace):
+    """Reference for `SolveTrace.passes`: each pass's houses filtered from the last's."""
+    houses = list(range(1, trace.n_houses + 1))
+    for violator in trace.violators:
+        yield houses, violator
+        houses = [house for house in houses if house not in violator.neighborhood]
+    if trace.assignment is not None:
+        yield houses, None
+
+
+def test_passes_match_the_filtering_walk_and_are_owned_by_the_caller():
+    # popular tie tiers remove several houses at once; some solves end found
+    traces = [
+        envy_free_assignment(tiered_profile(n, m, tier, seed, popularity=0.9))[1]
+        for n, m, tier, seed in [(20, 60, 5, 1), (30, 120, 10, 2), (40, 80, 4, 3), (12, 40, 3, 4)]
+    ]
+    traces.append(envy_free_assignment(GOLDEN)[1])
+    # built by hand: removals off offer (one twice, one past m) are skipped
+    twice = HallViolator(frozenset({1, 2}), frozenset({2}))
+    beyond = HallViolator(frozenset({1, 2}), frozenset({9}))
+    traces.append(solver.SolveTrace(4, (twice, twice, beyond), Assignment((1, 3))))
+    assert any(len(v.neighborhood) > 1 for trace in traces for v in trace.violators)
+    assert any(trace.assignment is not None and trace.violators for trace in traces)
+    assert any(trace.assignment is None for trace in traces)
+    for trace in traces:
+        walked = []
+        for houses, violator in trace.passes():
+            walked.append((houses.copy(), violator))
+            houses.clear()  # must not reach the next pass
+        assert walked == list(filtering_passes(trace))
 
 
 def test_house_id_pool_is_reused_across_house_counts():
