@@ -60,11 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
+    except SystemExit as exc:  # argparse exits after --help (0) and on a usage error (2)
+        return exc.code
     except BrokenPipeError:
         # the reader left: send what is still buffered nowhere, so the flush
         # at interpreter exit cannot fail again

@@ -72,32 +72,22 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
-# trials whose generator states `_trial_generators` derives together; bounds
+# trials whose generator states `_trial_states` derives together; bounds
 # the derivation's temporaries at a few hundred bytes per trial
 _SEED_BLOCK = 1 << 10
 
 
-def _trial_generators(seed: int, first: int, stop: int) -> Iterator[np.random.Generator]:
-    """``_generator(seed, t)`` for t = first, ..., stop - 1, in order.
+def _trial_states(seed: int, first: int, stop: int) -> Iterator[dict]:
+    """``_generator(seed, t).bit_generator.state`` for t = first, ..., stop - 1, in order.
 
-    Trials below 2**32 share one generator: each trial's state is derived
-    with `_pcg64_states` and loaded into it before it is yielded, so a
-    yielded generator must be drawn from before the next one is requested.
-    Later trials take `_generator` itself.
+    Needs ``seed >= 0``. States below trial 2**32 are derived in blocks by
+    `_pcg64_states`; later ones come from `_generator` itself.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
     derived = min(stop, 1 << 32)
     for block in range(first, derived, _SEED_BLOCK):
-        for state in _pcg64_states(seed, block, min(block + _SEED_BLOCK, derived)):
-            bit_generator.state = {
-                "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
-            }
-            yield generator
+        yield from _pcg64_states(seed, block, min(block + _SEED_BLOCK, derived))
     for trial in range(max(first, derived), stop):
-        yield _generator(seed, trial)
+        yield _generator(seed, trial).bit_generator.state
 
 
 # numpy's SeedSequence hash and mix constants (pool of four uint32 words)
@@ -117,8 +107,8 @@ def _hash_constants(value: int, mult: int) -> Iterator[int]:
         value = value * mult & _MASK32
 
 
-def _pcg64_states(seed: int, first: int, stop: int) -> list[dict[str, int]]:
-    """``PCG64(SeedSequence([seed, t])).state["state"]`` for t = first, ..., stop - 1.
+def _pcg64_states(seed: int, first: int, stop: int) -> list[dict]:
+    """``PCG64(SeedSequence([seed, t])).state`` for t = first, ..., stop - 1.
 
     Needs ``seed >= 0`` and ``0 <= first <= stop <= 2**32``. Then every
     trial's entropy is the seed's little-endian uint32 words followed by the
@@ -169,7 +159,8 @@ def _pcg64_states(seed: int, first: int, stop: int) -> list[dict[str, int]]:
     for state_hi, state_lo, seq_hi, seq_lo in block.astype("<u4", copy=False).view("<u8").tolist():
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
         state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc
-        states.append({"state": state & _MASK128, "inc": inc})
+        pcg = {"state": state & _MASK128, "inc": inc}
+        states.append({"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
     return states
 
 
@@ -195,8 +186,12 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
     Exact utility ties have probability zero under any non-atomic draw; if
     they occur anyway they break toward the lower house id.
     """
-    orders = np.argsort(-utilities.values, axis=1, kind="stable")
-    return PreferenceProfile(_ranks_from_orders(orders))
+    return PreferenceProfile(_dense_ranks(utilities.values))
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Dense ranks of each row of ``values`` by decreasing value, ties toward the lower index."""
+    return _ranks_from_orders(np.argsort(-values, axis=1, kind="stable"))
 
 
 # `Generator.random` returns multiples of 2**-53, so a utility u on that grid
@@ -205,26 +200,19 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
 _INDEX_BITS = 9
 
 
-def _packed_keys(values: np.ndarray) -> np.ndarray | None:
-    """Rank keys for each row of ``values`` along its last axis, or None.
+def _packed_keys(values: np.ndarray) -> np.ndarray:
+    """Rank keys for each row of ``values`` along its last axis.
 
-    Each key holds ``2**53 - u * 2**53`` above the house index, so the keys
-    of a row are distinct, and ascending keys run by decreasing utility and,
-    within a tie, by increasing index: the stable ``argsort(-values)``
-    order. None when a row is too long to pack or a value is off the 2**-53
-    grid.
+    Needs rows of at most ``2**_INDEX_BITS`` values, each a multiple of
+    2**-53 in [0, 1]. Each key holds ``2**53 - u * 2**53`` above the house
+    index, so the keys of a row are distinct, and ascending keys run by
+    decreasing utility and, within a tie, by increasing index: the order of
+    `_dense_ranks`.
     """
     m = values.shape[-1]
-    index_bits = (m - 1).bit_length()
-    if values.dtype != np.float64 or index_bits > _INDEX_BITS:
-        return None
-    scaled = values * 2.0**53  # exact: a power-of-two scale
-    keys = scaled.astype(np.int64)
-    if not (keys == scaled).all():
-        return None
-    np.subtract(1 << 53, keys, out=keys)
-    keys <<= index_bits
-    keys |= np.arange(m)
+    shift = 53 + (m - 1).bit_length()
+    keys = (values * -2.0**shift).astype(np.int64)  # exact: a power-of-two scale
+    keys += np.arange(m) + (1 << shift)
     return keys
 
 
@@ -301,24 +289,28 @@ def estimate_existence_probability(
     if n < 1:
         raise ValueError("need at least one agent and one house")
     require_enough_houses(n, m)
-    generators = _trial_generators(seed, 0, trials)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     chunk = max(1, _CHUNK_CELLS // (n * m))
     try:
         buffer = np.empty((min(chunk, trials), n, m))
     except ValueError:  # the shape outgrows numpy's size arithmetic
         raise MemoryError(f"cannot hold the utilities of {n} agents and {m} houses") from None
+    # the buffer holds only `Generator.random` draws: multiples of 2**-53 in
+    # [0, 1), so rows up to 2**_INDEX_BITS houses pack into keys (at most
+    # 2**62 + 511, below `WORST_RANK`) that order each trial's houses as dense
+    # ranks would, and the solver reads nothing but that order
+    rank = _packed_keys if m <= 1 << _INDEX_BITS else _dense_ranks
+    generator = np.random.Generator(np.random.PCG64(0))
+    states = _trial_states(seed, 0, trials)
     successes = 0
     mechanism_successes = 0
     for first in range(0, trials, chunk):
         values = buffer[: trials - first]
-        for trial_values in values:
-            next(generators).random(out=trial_values)
-        rows = values.reshape(-1, m)  # `Generator.random` draws lie in [0, 1)
-        # a trial's keys (at most 2**62 + 511, below `WORST_RANK`) order its
-        # houses as dense ranks would, and the solver reads nothing but that order
-        ranks = _packed_keys(rows)
-        if ranks is None:
-            ranks = _ranks_from_orders(np.argsort(-rows, axis=1, kind="stable"))
+        for trial_values, state in zip(values, states):
+            generator.bit_generator.state = state
+            generator.random(out=trial_values)
+        ranks = rank(values.reshape(-1, m))
         for profile in _stacked_profiles(ranks.reshape(values.shape)):
             found, _ = envy_free_assignment(profile)
             successes += found is not None

@@ -29,16 +29,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_main(capsys, argv):
-    """`run_cli`, with an argparse exit read as its exit code."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_solve_json_found(golden_file, capsys):
     code, out, _ = run_cli(capsys, "solve", golden_file)
     assert code == 0
@@ -163,12 +153,20 @@ def test_main_reuses_one_parser_and_matches_fresh_calls(golden_file, capsys):
     fresh = []
     for argv in calls:
         cli.build_parser.cache_clear()
-        fresh.append(run_main(capsys, argv))
+        fresh.append(run_cli(capsys, *argv))
     assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
     parser = cli.build_parser()
     assert cli.build_parser() is parser
-    assert [run_main(capsys, argv) for argv in calls] == fresh
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
     assert cli.build_parser() is parser
+
+
+def test_usage_errors_return_two_and_help_returns_zero(golden_file, capsys):
+    code, out, err = run_cli(capsys, "solve", golden_file, "--format", "xml")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'xml'" in err
+    code, out, _ = run_cli(capsys, "simulate", "--help")
+    assert code == 0 and out.startswith("usage: efhouse simulate")
 
 
 def test_solve_exit_two_on_missing_file(capsys):

@@ -65,6 +65,9 @@ def test_negative_seed_rejected(monkeypatch):
     monkeypatch.setattr(randmodel, "_pcg64_states", no_states)
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
         estimate_existence_probability(2, 4, trials=5, seed=-1)
+    # checked before the chunk buffer, which 2 * 2**61 utilities would outgrow
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        estimate_existence_probability(2, 2**61, trials=1, seed=-1)
 
 
 def numpy_pcg64_state(seed: int, trial: int) -> dict:
@@ -88,26 +91,29 @@ def test_trial_generators_take_numpy_seeding_states(seed, first, stop, block, mo
     # so that algorithm is a contract these cases pin
     if block is not None:
         monkeypatch.setattr(randmodel, "_SEED_BLOCK", block)
-    states = [g.bit_generator.state for g in randmodel._trial_generators(seed, first, stop)]
+    states = list(randmodel._trial_states(seed, first, stop))
     assert states == [numpy_pcg64_state(seed, trial) for trial in range(first, stop)]
 
 
 def test_trial_draws_pack_into_keys_below_the_solver_sentinel():
-    # simulate re-checks none of this per chunk: numpy documents
-    # `Generator.random` to lie in [0, 1), and its draws are multiples of
-    # 2**-53, the grid `_packed_keys` packs (off it, ranking falls back to
-    # the slower argsort)
+    # simulate checks none of this: numpy documents `Generator.random` to lie
+    # in [0, 1), and its draws are multiples of 2**-53, the grid
+    # `_packed_keys` needs (off it, keys could collide or misorder)
+    generator = np.random.Generator(np.random.PCG64(0))
     for seed in (0, 2**32, 10**30):
         for trials, n, m in ((200, 20, 20), (50, 20, 180)):  # sim-eq, sim-log
-            generators = randmodel._trial_generators(seed, 0, trials)
-            values = np.stack([generator.random((n, m)) for generator in generators])
+            values = []
+            for state in randmodel._trial_states(seed, 0, trials):
+                generator.bit_generator.state = state
+                values.append(generator.random((n, m)))
+            values = np.stack(values)
             assert values.min() >= 0.0 and values.max() < 1.0
             scaled = values * 2.0**53
             assert (scaled == np.floor(scaled)).all()
     # so the keys of the widest packed rows stay below the solver's mask rank
     for utility in (0.0, 1.0 - 2.0**-53):
         keys = randmodel._packed_keys(np.full((2, PACKING_BOUND), utility))
-        assert keys is not None and keys.max() <= 2**62 + 511 < WORST_RANK
+        assert keys.max() <= 2**62 + 511 < WORST_RANK
 
 
 def test_strict_rankings_are_uniform():
@@ -160,13 +166,18 @@ PACKING_BOUND = 512  # the widest rows whose keys fit: 54 utility bits + 9 index
 
 
 def on_grid_cases():
-    # every value here is a multiple of 2**-53, so `_packed_keys` can pack it
+    # every value here is a multiple of 2**-53, the grid `_packed_keys` needs
     rng = np.random.default_rng(21)
     yield pytest.param(rng.integers(0, 9, size=(7, 13)) / 8, id="eighths")  # many ties per row
     signed = [[0.0, -0.0, 1.0, 0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 1.0, -0.0, 1.0]]
     yield pytest.param(np.array(signed), id="signed-zeros")
     yield pytest.param(rng.integers(0, 5, size=(1, 9)) / 4, id="one-agent")
     yield pytest.param(np.array([[0.25], [1.0], [0.0]]), id="one-house")
+    # neighbouring grid steps, so an index that spilled into the utility bits
+    # or a utility step lost below them would misorder
+    for m in (2, 40):
+        steps = rng.integers(2**52, 2**52 + 4, size=(5, m))
+        yield pytest.param(steps * 2.0**-53, id=f"adjacent-steps-{m}")
     yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND)) / 64, id="at-bound")
     yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND + 1)) / 64, id="above-bound")
     yield pytest.param(sample_utilities(6, 40, seed=5).values, id="drawn")
@@ -178,7 +189,9 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
     profile = utilities_to_profile(UtilityMatrix(values))
     assert profile.ranks.tolist() == per_row_sort_ranks(values)
     assert profile.ranks.dtype == np.int64 and not profile.ranks.flags.writeable
-    assert (randmodel._packed_keys(values) is None) == (values.shape[1] > PACKING_BOUND)
+    if values.shape[1] <= PACKING_BOUND:
+        key_order = np.argsort(randmodel._packed_keys(values), axis=1)
+        assert (key_order.argsort(axis=1) + 1).tolist() == per_row_sort_ranks(values)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +203,6 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
     ],
 )
 def test_other_utilities_take_the_argsort_path(values):
-    assert randmodel._packed_keys(values) is None
     assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == per_row_sort_ranks(values)
 
 
@@ -275,9 +287,7 @@ def test_sweep_rows_match_single_house_count_runs(capsys):
 
 def key_ranked_profile(values: np.ndarray) -> PreferenceProfile:
     """The profile `estimate_existence_probability` solves: packed keys as ranks."""
-    keys = randmodel._packed_keys(values)
-    assert keys is not None
-    return PreferenceProfile(keys)
+    return PreferenceProfile(randmodel._packed_keys(values))
 
 
 def solve_json(profile: PreferenceProfile) -> str:
@@ -563,7 +573,7 @@ def test_estimate_rejects_no_agents_before_drawing(n, m, monkeypatch):
         raise AssertionError("drew utilities for an instance without agents")
 
     monkeypatch.setattr(randmodel, "_generator", no_draw)
-    monkeypatch.setattr(randmodel, "_trial_generators", no_draw)
+    monkeypatch.setattr(randmodel, "_trial_states", no_draw)
     with pytest.raises(ValueError, match=r"^need at least one agent"):
         estimate_existence_probability(n, m, trials=5, seed=1)
 
