@@ -51,15 +51,6 @@ class Matching:
         if len({x for x, _ in self.pairs}) != count or len({y for _, y in self.pairs}) != count:
             raise ValueError("a vertex appears in two matching pairs")
 
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def left_to_right(self) -> dict[int, int]:
-        return {x: y for x, y in self.pairs}
-
-    def right_to_left(self) -> dict[int, int]:
-        return {y: x for x, y in self.pairs}
-
 
 @dataclass(frozen=True)
 class HallViolator:
@@ -193,7 +184,7 @@ def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str
     ``R<j>``; one line per vertex with outgoing edges. Intended for
     debugging via the CLI.
     """
-    owner = matching.right_to_left()
+    owner = {y: x for x, y in matching.pairs}
     lines = []
     for x in range(1, graph.n_left + 1):
         targets = " ".join(f"R{y}" for y in graph.adj[x - 1])

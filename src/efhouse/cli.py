@@ -70,7 +70,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader left: send what is still buffered nowhere, so the flush
         # at interpreter exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 141
     except (
         ProfileError,
@@ -117,7 +121,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def _print_text_result(assignment, trace, show_trace: bool) -> None:
     if assignment is not None:
-        for agent, house in sorted(assignment.mapping().items()):
+        for agent, house in assignment.mapping().items():
             print(f"agent {agent} -> house {house}")
     else:
         print("no envy-free assignment exists")

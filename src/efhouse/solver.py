@@ -47,12 +47,8 @@ class Assignment:
         if len(set(self.houses)) != len(self.houses):
             raise ValueError("a house is assigned to two agents")
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.houses)
-
     def mapping(self) -> dict[int, int]:
-        """Agent -> house dict view (both 1-based)."""
+        """Agent -> house dict view (both 1-based), keyed in ascending agent order."""
         return {agent + 1: house for agent, house in enumerate(self.houses)}
 
 
@@ -223,9 +219,9 @@ def _favorites(
 
 def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool:
     """True when no agent strictly prefers another agent's house to her own."""
-    if assignment.n_agents != profile.n_agents:
+    if len(assignment.houses) != profile.n_agents:
         raise ValueError(
-            f"assignment covers {assignment.n_agents} agents, profile has {profile.n_agents}"
+            f"assignment covers {len(assignment.houses)} agents, profile has {profile.n_agents}"
         )
     if any(h > profile.n_houses for h in assignment.houses):
         raise ValueError("assignment uses a house outside the profile")
@@ -258,7 +254,7 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
     out: dict[str, Any] = {
         "status": "found" if found else "none",
         "assignment": (
-            {str(agent): house for agent, house in sorted(trace.assignment.mapping().items())}
+            {str(agent): house for agent, house in trace.assignment.mapping().items()}
             if found
             else None
         ),

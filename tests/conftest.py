@@ -156,7 +156,7 @@ def brute_force_max_matching_size(graph: BipartiteGraph) -> int:
 
 def has_augmenting_path(graph: BipartiteGraph, matching: Matching) -> bool:
     """True when some unmatched left vertex can reach an unmatched right vertex."""
-    owner = matching.right_to_left()
+    owner = {y: x for x, y in matching.pairs}
     matched_left = {x for x, _ in matching.pairs}
     for start in range(1, graph.n_left + 1):
         if start in matched_left:
@@ -183,7 +183,7 @@ def alternating_reach(graph: BipartiteGraph) -> set[int] | None:
     vertex. The walk reads only `graph.adj` and the matching's pairs, so it
     pins the violator independently of the library's tree search.
     """
-    owner = maximum_matching(graph).right_to_left()
+    owner = {y: x for x, y in maximum_matching(graph).pairs}
     matched = set(owner.values())
     start = next((x for x in range(1, graph.n_left + 1) if x not in matched), None)
     if start is None:

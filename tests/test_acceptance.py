@@ -104,7 +104,7 @@ def test_criterion_4_hall_violator_certification():
         n_right = rng.randint(1, 10)
         graph = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.05, 0.7))
         violator = violator_or_matching(graph)
-        assert isinstance(violator, Matching) == (maximum_matching(graph).size() == graph.n_left)
+        assert isinstance(violator, Matching) == (len(maximum_matching(graph).pairs) == graph.n_left)
         if isinstance(violator, Matching):
             continue
         assert len(violator.vertices) == len(violator.neighborhood) + 1

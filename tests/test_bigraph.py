@@ -83,12 +83,12 @@ def test_matching_rejects_shared_vertex():
 
 
 def test_maximum_matching_empty_graph():
-    assert maximum_matching(graph(2, 2, [])).size() == 0
+    assert len(maximum_matching(graph(2, 2, [])).pairs) == 0
 
 
 def test_maximum_matching_shared_right_vertex():
     matching = maximum_matching(graph(2, 1, [(1, 1), (2, 1)]))
-    assert matching.size() == 1
+    assert len(matching.pairs) == 1
 
 
 def test_maximum_matching_is_deterministic():
@@ -104,7 +104,7 @@ def test_maximum_matching_matches_brute_force(g):
     matching = maximum_matching(g)
     for x, y in matching.pairs:
         assert y in g.adj[x - 1]
-    assert matching.size() == brute_force_max_matching_size(g)
+    assert len(matching.pairs) == brute_force_max_matching_size(g)
 
 
 @settings(max_examples=150)
@@ -132,7 +132,7 @@ def test_minimal_violator_smallest_case():
 
 def test_minimal_violator_three_agent_chain():
     g = graph(3, 2, [(1, 1), (2, 1), (2, 2), (3, 2)])
-    assert maximum_matching(g).left_to_right() == {1: 1, 2: 2}
+    assert dict(maximum_matching(g).pairs) == {1: 1, 2: 2}
     violator = violator_or_matching(g)
     assert violator.vertices == {1, 2, 3}
     assert violator.neighborhood == {1, 2}
@@ -194,7 +194,7 @@ def test_violator_or_matching_is_the_violator_else_the_maximum_matching():
         if reach is None:
             saturating += 1
             assert found == maximum_matching(g)  # pair for pair
-            assert found.size() == g.n_left
+            assert len(found.pairs) == g.n_left
         else:
             assert isinstance(found, HallViolator)
             assert found.vertices == reach
@@ -261,9 +261,9 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
         n_left, n_right = rng.randint(1, 60), rng.randint(1, 60)
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.01, 0.2))
         matching = maximum_matching(g)
-        assert reference_matching_sizes(g) == (matching.size(), matching.size())
+        assert reference_matching_sizes(g) == (len(matching.pairs), len(matching.pairs))
         violator = violator_or_matching(g)
-        assert isinstance(violator, Matching) == (matching.size() == g.n_left)
+        assert isinstance(violator, Matching) == (len(matching.pairs) == g.n_left)
         if isinstance(violator, Matching):
             assert alternating_reach(g) is None
         else:
@@ -275,7 +275,7 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
 @settings(max_examples=120)
 @given(bipartite_graphs(max_left=6, max_right=6))
 def test_hall_condition_matches_saturation(g):
-    saturating = maximum_matching(g).size() == g.n_left
+    saturating = len(maximum_matching(g).pairs) == g.n_left
     assert isinstance(violator_or_matching(g), Matching) == saturating == (not brute_force_hall_check(g))
 
 

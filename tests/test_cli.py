@@ -65,20 +65,71 @@ def test_solve_exit_one_on_nonexistence(tmp_path, capsys):
     assert payload["trace"][0]["violator"] == {"agents": [1, 2], "houses": [1]}
 
 
-def test_solve_text_format(golden_file, capsys):
-    code, out, _ = run_cli(capsys, "solve", golden_file, "--format", "text", "--trace")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "agent 1 -> house 2"
-    assert lines[1] == "agent 2 -> house 3"
-    assert any("removal of houses {1}" in line for line in lines)
+# each small instance's text and exit code, by the status it solves to
+INSTANCES = {"found": (GOLDEN, 0), "none": (NO_SOLUTION, 1)}
+NONE_JSON = (
+    '{"status": "none", "assignment": null, "trace": [{"houses": [1, 2], "saturating": false, '
+    '"violator": {"agents": [1, 2], "houses": [1]}, "removed": [1]}]}\n'
+)
+NONE_TEXT = (
+    "no envy-free assignment exists\n"
+    "iteration 1: houses {1 2}\n"
+    "  deficient agents {1 2} force removal of houses {1}\n"
+)
+# the whole stdout of `solve`, by instance, --format and --trace;
+# nonexistence prints its trace either way
+SOLVE_STDOUT = {
+    ("found", "json", False): '{"status": "found", "assignment": {"1": 2, "2": 3}, "trace": null}\n',
+    ("found", "json", True): (
+        '{"status": "found", "assignment": {"1": 2, "2": 3}, "trace": ['
+        '{"houses": [1, 2, 3], "saturating": false, '
+        '"violator": {"agents": [1, 2], "houses": [1]}, "removed": [1]}, '
+        '{"houses": [2, 3], "saturating": true, "violator": null, "removed": []}]}\n'
+    ),
+    ("found", "text", False): "agent 1 -> house 2\nagent 2 -> house 3\n",
+    ("found", "text", True): (
+        "agent 1 -> house 2\n"
+        "agent 2 -> house 3\n"
+        "iteration 1: houses {1 2 3}\n"
+        "  deficient agents {1 2} force removal of houses {1}\n"
+        "iteration 2: houses {2 3}\n"
+        "  saturating matching found\n"
+    ),
+    ("none", "json", False): NONE_JSON,
+    ("none", "json", True): NONE_JSON,
+    ("none", "text", False): NONE_TEXT,
+    ("none", "text", True): NONE_TEXT,
+}
+DIGRAPH_DUMP = {
+    "found": (
+        "# iteration 1 alternating digraph\nL1 -> R1\nL2 -> R1\nR1 -> L1\n"
+        "# iteration 2 alternating digraph\nL1 -> R2\nL2 -> R3\nR2 -> L1\nR3 -> L2\n"
+    ),
+    "none": "# iteration 1 alternating digraph\nL1 -> R1\nL2 -> R1\nR1 -> L1\n",
+}
 
 
-def test_solve_dump_digraph_goes_to_stderr(golden_file, capsys):
-    code, _, err = run_cli(capsys, "solve", golden_file, "--dump-digraph")
-    assert code == 0
-    assert "L1 -> R1" in err
-    assert "R1 -> L1" in err
+def solve_instance(tmp_path, capsys, instance, *flags):
+    path = tmp_path / f"{instance}.txt"
+    path.write_text(INSTANCES[instance][0])
+    return run_cli(capsys, "solve", str(path), *flags)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("instance", ["found", "none"])
+def test_solve_output_format(tmp_path, capsys, instance, fmt, trace):
+    flags = ["--format", fmt] + ["--trace"] * trace
+    expected = (INSTANCES[instance][1], SOLVE_STDOUT[instance, fmt, trace], "")
+    assert solve_instance(tmp_path, capsys, instance, *flags) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("instance", ["found", "none"])
+def test_solve_digraph_dump_goes_to_stderr(tmp_path, capsys, instance, fmt):
+    # the dump leaves stdout as it is without it
+    expected = (INSTANCES[instance][1], SOLVE_STDOUT[instance, fmt, False], DIGRAPH_DUMP[instance])
+    assert solve_instance(tmp_path, capsys, instance, "--format", fmt, "--dump-digraph") == expected
 
 
 def test_solve_exit_two_on_malformed_file(tmp_path, capsys):
@@ -385,6 +436,23 @@ def test_closed_stdout_exits_141_without_an_error_line():
         finally:
             proc.kill()
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_exit_leaves_no_open_descriptor(monkeypatch):
+    def main_without_a_reader():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            try:
+                return cli.main(["simulate", "--n", "2", "--m", "3", "--trials", "5"])
+            finally:
+                monkeypatch.undo()
+
+    before = len(os.listdir("/proc/self/fd"))
+    codes = [main_without_a_reader() for _ in range(3)]
+    assert (codes, len(os.listdir("/proc/self/fd"))) == ([141] * 3, before)
 
 
 def test_stdout_without_a_reader_exits_141(golden_file):
