@@ -115,13 +115,13 @@ def run_solve(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(solver.result_json(trace, include_trace=include_trace)))
     else:
-        _print_text_result(assignment, trace, include_trace)
+        _print_text_result(trace, include_trace)
     return 0 if assignment is not None else 1
 
 
-def _print_text_result(assignment, trace, show_trace: bool) -> None:
-    if assignment is not None:
-        for agent, house in assignment.mapping().items():
+def _print_text_result(trace, show_trace: bool) -> None:
+    if trace.assignment is not None:
+        for agent, house in trace.assignment.mapping().items():
             print(f"agent {agent} -> house {house}")
     else:
         print("no envy-free assignment exists")

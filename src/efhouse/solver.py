@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -52,17 +52,16 @@ class Assignment:
         return {agent + 1: house for agent, house in enumerate(self.houses)}
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One pass of the solve loop, as `SolveTrace.iterations` derives it.
+class IterationRecord(NamedTuple):
+    """One pass of the solve loop, as `SolveTrace.passes` yields it.
 
-    ``available`` is the house set on offer when the pass started.
-    ``violator`` is what `violator_or_matching` found in the pass's favorites
-    graph, whose neighborhood the pass removed, or None on the final,
-    saturating pass.
+    ``available`` is the house set on offer when the pass started, as an
+    ascending list the caller owns. ``violator`` is what
+    `violator_or_matching` found in the pass's favorites graph, whose
+    neighborhood the pass removed, or None on the final, saturating pass.
     """
 
-    available: frozenset[int]
+    available: list[int]
     violator: HallViolator | None
 
 
@@ -79,15 +78,15 @@ class SolveTrace:
     violators: tuple[HallViolator, ...]
     assignment: Assignment | None
 
-    def passes(self) -> Iterator[tuple[list[int], HallViolator | None]]:
-        """Each pass's houses on offer, as a fresh ascending list, and its violator.
+    def passes(self) -> Iterator[IterationRecord]:
+        """Each pass as an `IterationRecord`, its houses in a fresh list.
 
-        The violator is None on a saturating final pass. The caller owns each
-        list: changing one leaves the passes after it as they were.
+        The caller owns each list: changing one leaves the passes after it
+        as they were.
         """
         houses = list(range(1, self.n_houses + 1))
         for violator in self.violators:
-            yield houses.copy(), violator
+            yield IterationRecord(houses.copy(), violator)
             for house in violator.neighborhood:
                 at = bisect_left(houses, house)
                 # a solve removes only houses on offer; a trace built by hand
@@ -95,12 +94,12 @@ class SolveTrace:
                 if houses[at : at + 1] == [house]:
                     del houses[at]
         if self.assignment is not None:
-            yield houses, None
+            yield IterationRecord(houses, None)
 
     @property
     def iterations(self) -> tuple[IterationRecord, ...]:
-        """Every pass as an `IterationRecord`, derived from `passes`."""
-        return tuple(IterationRecord(frozenset(houses), found) for houses, found in self.passes())
+        """Every pass, held: the records `passes` yields."""
+        return tuple(self.passes())
 
 
 def envy_free_assignment(
@@ -261,20 +260,12 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
         "trace": None,
     }
     if include_trace:
-        out["trace"] = [
-            {
-                "houses": houses,
-                "saturating": violator is None,
-                "violator": (
-                    None
-                    if violator is None
-                    else {
-                        "agents": sorted(violator.vertices),
-                        "houses": sorted(violator.neighborhood),
-                    }
-                ),
-                "removed": [] if violator is None else sorted(violator.neighborhood),
-            }
-            for houses, violator in trace.passes()
-        ]
+        steps = []
+        for houses, violator in trace.passes():
+            removed = [] if violator is None else sorted(violator.neighborhood)
+            step = {"houses": houses, "saturating": violator is None, "violator": None, "removed": removed}
+            if violator is not None:
+                step["violator"] = {"agents": sorted(violator.vertices), "houses": removed}
+            steps.append(step)
+        out["trace"] = steps
     return out

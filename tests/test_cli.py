@@ -29,40 +29,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_solve_json_found(golden_file, capsys):
-    code, out, _ = run_cli(capsys, "solve", golden_file)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "found"
-    assert payload["assignment"] == {"1": 2, "2": 3}
-    assert payload["trace"] is None
-
-
 def test_solve_json_round_trips_to_a_verified_assignment(golden_file, capsys):
     _, out, _ = run_cli(capsys, "solve", golden_file)
     payload = json.loads(out)
     houses = [payload["assignment"][str(a)] for a in range(1, 3)]
     assert verify_envy_free(parse_profile(GOLDEN), Assignment(tuple(houses)))
-
-
-def test_solve_json_trace_included_on_request(golden_file, capsys):
-    code, out, _ = run_cli(capsys, "solve", golden_file, "--trace")
-    assert code == 0
-    payload = json.loads(out)
-    assert [step["saturating"] for step in payload["trace"]] == [False, True]
-    assert payload["trace"][0]["removed"] == [1]
-
-
-def test_solve_exit_one_on_nonexistence(tmp_path, capsys):
-    path = tmp_path / "none.txt"
-    path.write_text(NO_SOLUTION)
-    # no --trace needed: nonexistence always carries its certificate
-    code, out, _ = run_cli(capsys, "solve", str(path))
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["status"] == "none"
-    assert payload["assignment"] is None
-    assert payload["trace"][0]["violator"] == {"agents": [1, 2], "houses": [1]}
 
 
 # each small instance's text and exit code, by the status it solves to
