@@ -126,14 +126,13 @@ def _print_text_result(trace, show_trace: bool) -> None:
     else:
         print("no envy-free assignment exists")
     if show_trace:
-        for index, (houses, violator) in enumerate(trace.passes(), start=1):
-            listed = " ".join(str(h) for h in houses)
-            print(f"iteration {index}: houses {{{listed}}}")
-            if violator is None:
+        for index, step in enumerate(solver._trace_steps(trace), start=1):
+            print(f"iteration {index}: houses {{{' '.join(map(str, step['houses']))}}}")
+            if step["saturating"]:
                 print("  saturating matching found")
             else:
-                agents = " ".join(str(a) for a in sorted(violator.vertices))
-                removed = " ".join(str(h) for h in sorted(violator.neighborhood))
+                agents = " ".join(map(str, step["violator"]["agents"]))
+                removed = " ".join(map(str, step["removed"]))
                 print(f"  deficient agents {{{agents}}} force removal of houses {{{removed}}}")
 
 

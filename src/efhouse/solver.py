@@ -250,22 +250,23 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
     each iteration's house set, saturation flag, violator, and removals.
     """
     found = trace.assignment is not None
-    out: dict[str, Any] = {
+    return {
         "status": "found" if found else "none",
-        "assignment": (
-            {str(agent): house for agent, house in trace.assignment.mapping().items()}
-            if found
-            else None
-        ),
-        "trace": None,
+        "assignment": {str(a): h for a, h in trace.assignment.mapping().items()} if found else None,
+        "trace": list(_trace_steps(trace)) if include_trace else None,
     }
-    if include_trace:
-        steps = []
-        for houses, violator in trace.passes():
-            removed = [] if violator is None else sorted(violator.neighborhood)
-            step = {"houses": houses, "saturating": violator is None, "violator": None, "removed": removed}
-            if violator is not None:
-                step["violator"] = {"agents": sorted(violator.vertices), "houses": removed}
-            steps.append(step)
-        out["trace"] = steps
-    return out
+
+
+def _trace_steps(trace: SolveTrace) -> Iterator[dict[str, Any]]:
+    """Each pass of ``trace`` as its wire-format trace entry, in order.
+
+    `result_json` lists the entries; the text trace prints each as it is
+    yielded, so it holds one pass at a time.
+    """
+    for houses, violator in trace.passes():
+        if violator is None:
+            yield {"houses": houses, "saturating": True, "violator": None, "removed": []}
+            continue
+        removed = sorted(violator.neighborhood)  # one list, under both keys
+        violator_entry = {"agents": sorted(violator.vertices), "houses": removed}
+        yield {"houses": houses, "saturating": False, "violator": violator_entry, "removed": removed}

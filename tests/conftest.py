@@ -1,9 +1,13 @@
-"""Shared test helpers: instance builders, random samplers, brute-force checkers."""
+"""Shared test helpers: instance builders, random samplers, brute-force checkers, solve runners."""
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -11,8 +15,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import efhouse
 from efhouse.bigraph import BipartiteGraph, Matching, maximum_matching
 from efhouse.prefs import PreferenceProfile, ProfileError
+from efhouse.solver import envy_free_assignment, result_json
 
 
 def profile_from_orders(*orders: tuple[int, ...]) -> PreferenceProfile:
@@ -46,10 +52,20 @@ def top_choices(profile: PreferenceProfile, agent: int, available: set[int]) -> 
     return {house for house in available if row[house - 1] == best}
 
 
-def weakly_prefers(profile: PreferenceProfile, agent: int, h1: int, h2: int) -> bool:
-    """True when ``agent`` likes ``h1`` at least as much as ``h2``."""
-    row = profile.ranks[agent - 1].tolist()
-    return row[h1 - 1] <= row[h2 - 1]
+def solve_json(profile: PreferenceProfile) -> str:
+    """The solve JSON of ``profile``, trace included, as `result_json` writes it."""
+    _, trace = envy_free_assignment(profile)
+    return json.dumps(result_json(trace, include_trace=True))
+
+
+def efhouse_command(*argv):
+    """``python -m efhouse`` with this test's efhouse importable, and its environment.
+
+    The command imports the efhouse the tests imported, whether installed or not.
+    """
+    package_root = str(Path(efhouse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "efhouse", *argv], {**os.environ, "PYTHONPATH": path}
 
 
 def graph_from_edges(n_left: int, n_right: int, edges) -> BipartiteGraph:
@@ -228,14 +244,6 @@ def tie_profiles(draw, max_agents: int = 4, max_houses: int = 5, min_houses: int
             ranks[order[position] - 1] = group_rank
         rows.append(tuple(ranks))
     return PreferenceProfile(tuple(rows))
-
-
-@st.composite
-def solvable_shapes(draw, max_agents: int = 3, max_houses: int = 5):
-    """(n, m) with m >= n, small enough for the enumeration oracle."""
-    n = draw(st.integers(1, max_agents))
-    m = draw(st.integers(n, max_houses))
-    return n, m
 
 
 @st.composite

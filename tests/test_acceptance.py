@@ -6,16 +6,11 @@ PASS line per criterion.
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
-import sys
 import time
-from pathlib import Path
 
-import efhouse
-
-from conftest import profile_from_orders, random_bipartite_graph, random_tie_profile, violator_is_subset_minimal
+from conftest import efhouse_command, profile_from_orders, random_bipartite_graph, random_tie_profile, violator_is_subset_minimal
 from efhouse.bigraph import Matching, maximum_matching, neighborhood, violator_or_matching
 from efhouse.oracle import brute_force_hall_check, enumerate_ef_assignments, is_pareto_among_ef
 from efhouse.prefs import PreferenceProfile, parse_profile
@@ -180,12 +175,7 @@ def test_criterion_7_success_fraction_monotone_in_houses():
 def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
     instance = tmp_path / "golden.txt"
     instance.write_text(GOLDEN_TEXT)
-    # the runs import the efhouse this test imported, whether installed or not
-    package_root = str(Path(efhouse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-
-    solve_cmd = [sys.executable, "-m", "efhouse", "solve", str(instance), "--trace"]
+    solve_cmd, env = efhouse_command("solve", str(instance), "--trace")
     solve_runs = [
         subprocess.run(solve_cmd, capture_output=True, check=True, env=env).stdout
         for _ in range(2)
@@ -193,10 +183,9 @@ def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
     assert solve_runs[0] == solve_runs[1]
     assert json.loads(solve_runs[0])["status"] == "found"
 
-    simulate_cmd = [
-        sys.executable, "-m", "efhouse", "simulate",
-        "--n", "5", "--sweep", "5:15:5", "--trials", "200", "--seed", "88",
-    ]
+    simulate_cmd, _ = efhouse_command(
+        "simulate", "--n", "5", "--sweep", "5:15:5", "--trials", "200", "--seed", "88"
+    )
     simulate_runs = [
         subprocess.run(simulate_cmd, capture_output=True, check=True, env=env).stdout
         for _ in range(2)

@@ -2,11 +2,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import efhouse
+from conftest import efhouse_command
 from efhouse import cli, oracle, randmodel, solver
 from efhouse.prefs import parse_profile
 from efhouse.solver import Assignment, verify_envy_free
@@ -387,13 +386,6 @@ def test_simulate_error_names_the_fault(argv, message, capsys):
 )
 def test_simulate_names_too_few_houses(argv, message, capsys):
     assert run_cli(capsys, "simulate", *argv, "--trials", "5") == (2, "", message)
-
-
-def efhouse_command(*argv):
-    """``python -m efhouse`` with this test's efhouse importable, and its environment."""
-    package_root = str(Path(efhouse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "efhouse", *argv], {**os.environ, "PYTHONPATH": path}
 
 
 def test_closed_stdout_exits_141_without_an_error_line():

@@ -22,11 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_strict_profile, random_tie_profile
+from conftest import random_strict_profile, random_tie_profile, solve_json
 from efhouse import cli
 from efhouse.prefs import format_profile
 from efhouse.randmodel import sample_strict_profile
-from efhouse.solver import envy_free_assignment, result_json
 
 FIXTURE = Path(__file__).with_name("golden_corpus.json")
 
@@ -67,11 +66,6 @@ def small_instance(seed: int):
 def large_instance(seed: int, n: int, ties: bool):
     make = random_tie_profile if ties else random_strict_profile
     return make(random.Random(seed), n, 2 * n)
-
-
-def solve_json(profile) -> str:
-    _, trace = envy_free_assignment(profile)
-    return json.dumps(result_json(trace, include_trace=True))
 
 
 def large_digest(seed: int, n: int, ties: bool) -> str:

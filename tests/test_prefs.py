@@ -1,11 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tie_profiles, top_choices, weakly_prefers
+from conftest import tie_profiles, top_choices
 from efhouse.prefs import (
     WORST_RANK,
     PreferenceProfile,
@@ -291,19 +289,6 @@ def test_top_choices_rejects_houses_out_of_range():
             top_choices(profile, 1, {2, house})
 
 
-def test_weakly_prefers_golden_agent_two():
-    profile = parse_profile(GOLDEN)
-    assert weakly_prefers(profile, 2, 3, 2)
-    assert not weakly_prefers(profile, 2, 2, 3)
-
-
-def test_weakly_prefers_reflexive_and_tie_symmetric():
-    profile = parse_profile("1 3\n1 = 2 > 3")
-    assert weakly_prefers(profile, 1, 3, 3)
-    assert weakly_prefers(profile, 1, 1, 2)
-    assert weakly_prefers(profile, 1, 2, 1)
-
-
 @given(tie_profiles(), st.data())
 def test_top_choices_are_tied_and_weakly_best(profile, data):
     agent = data.draw(st.integers(1, profile.n_agents))
@@ -312,26 +297,9 @@ def test_top_choices_are_tied_and_weakly_best(profile, data):
     )
     best = top_choices(profile, agent, available)
     assert best and best <= available
-    for h1, h2 in itertools.product(best, best):
-        assert weakly_prefers(profile, agent, h1, h2)
-    for h1 in best:
-        for h2 in available:
-            assert weakly_prefers(profile, agent, h1, h2)
-
-
-@given(tie_profiles(max_agents=3, max_houses=4))
-def test_weak_preference_is_total_and_transitive(profile):
-    houses = range(1, profile.n_houses + 1)
-    for agent in range(1, profile.n_agents + 1):
-        for h1, h2 in itertools.product(houses, houses):
-            assert weakly_prefers(profile, agent, h1, h2) or weakly_prefers(
-                profile, agent, h2, h1
-            )
-        for h1, h2, h3 in itertools.product(houses, houses, houses):
-            if weakly_prefers(profile, agent, h1, h2) and weakly_prefers(
-                profile, agent, h2, h3
-            ):
-                assert weakly_prefers(profile, agent, h1, h3)
+    row = profile.ranks[agent - 1].tolist()
+    (rank,) = {row[house - 1] for house in best}
+    assert all(rank <= row[house - 1] for house in available)
 
 
 @given(tie_profiles())

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from collections import Counter
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conftest import solve_json
 from efhouse import cli, randmodel
 from efhouse.prefs import WORST_RANK, PreferenceProfile
 from efhouse.randmodel import (
@@ -22,7 +22,6 @@ from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
     envy_free_assignment,
-    result_json,
     verify_envy_free,
 )
 
@@ -288,11 +287,6 @@ def test_sweep_rows_match_single_house_count_runs(capsys):
 def key_ranked_profile(values: np.ndarray) -> PreferenceProfile:
     """The profile `estimate_existence_probability` solves: packed keys as ranks."""
     return PreferenceProfile(randmodel._packed_keys(values))
-
-
-def solve_json(profile: PreferenceProfile) -> str:
-    _, trace = envy_free_assignment(profile)
-    return json.dumps(result_json(trace))
 
 
 @pytest.mark.parametrize("n, m", [(20, 20), (20, 180)])  # mostly none, then all found
