@@ -3,7 +3,6 @@
 from .bigraph import (
     BipartiteGraph,
     HallViolator,
-    Matching,
     format_alternating_digraph,
     maximum_matching,
     neighborhood,
@@ -49,7 +48,6 @@ __all__ = [
     "InstanceTooLargeError",
     "InvalidInstanceError",
     "IterationRecord",
-    "Matching",
     "MonteCarloStats",
     "PreferenceProfile",
     "ProfileError",

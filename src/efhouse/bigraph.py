@@ -4,7 +4,8 @@ One in-order augmenting loop serves both jobs: each breadth-first
 alternating tree grown from a new left vertex either reaches an unmatched
 right vertex (an augmenting path for `maximum_matching`) or closes. The
 first tree that closes is the minimal Hall violator; `violator_or_matching`
-returns it, or the left-saturating matching when no tree closes.
+returns it, or the left-saturating matching when no tree closes. A matching
+is a plain dict from each matched left vertex to its right partner.
 """
 
 from __future__ import annotations
@@ -38,18 +39,6 @@ class BipartiteGraph:
     @property
     def n_left(self) -> int:
         return len(self.adj)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Set of disjoint (left, right) edges."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        count = len(self.pairs)
-        if len({x for x, _ in self.pairs}) != count or len({y for _, y in self.pairs}) != count:
-            raise ValueError("a vertex appears in two matching pairs")
 
 
 @dataclass(frozen=True)
@@ -140,19 +129,19 @@ def _closed_trees(
                 step = parents[x]
 
 
-def maximum_matching(graph: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching via augmenting-path search; deterministic."""
+def maximum_matching(graph: BipartiteGraph) -> dict[int, int]:
+    """Maximum-cardinality matching via augmenting-path search; deterministic.
+
+    Maps each matched left vertex to its right partner, so the matching's
+    size is the dict's length.
+    """
     owner: dict[int, int] = {}
     for _ in _closed_trees(graph.adj, owner):
         pass
-    return _matching(owner)
+    return {x: y for y, x in owner.items()}
 
 
-def _matching(owner: dict[int, int]) -> Matching:
-    return Matching(frozenset((x, y) for y, x in owner.items()))
-
-
-def violator_or_matching(graph: BipartiteGraph) -> HallViolator | Matching:
+def violator_or_matching(graph: BipartiteGraph) -> HallViolator | dict[int, int]:
     """Minimal deficient left set, or else a left-saturating maximum matching.
 
     The violator is the first alternating tree that closes, grown from the
@@ -160,31 +149,32 @@ def violator_or_matching(graph: BipartiteGraph) -> HallViolator | Matching:
     vertices it reaches form the violator; each right vertex they touch is
     matched to a reached vertex and is the right end of the step that
     entered it, so those steps give the neighborhood. When no tree closes,
-    the same search has grown the matching `maximum_matching` returns.
+    the same search has grown the matching `maximum_matching` returns, and
+    it is returned in the same form: every left vertex keyed to its partner.
     """
     return _violator_or_matching(graph.adj)
 
 
-def _violator_or_matching(adj: Sequence[Sequence[int]]) -> HallViolator | Matching:
+def _violator_or_matching(adj: Sequence[Sequence[int]]) -> HallViolator | dict[int, int]:
     """`violator_or_matching` of the graph whose adjacency rows are ``adj``."""
     owner: dict[int, int] = {}
     tree = next(_closed_trees(adj, owner), None)
     if tree is None:
-        return _matching(owner)
+        return {x: y for y, x in owner.items()}
     return HallViolator(
         frozenset(tree), frozenset(step[1] for step in tree.values() if step is not None)
     )
 
 
-def format_alternating_digraph(graph: BipartiteGraph, matching: Matching) -> str:
+def format_alternating_digraph(graph: BipartiteGraph) -> str:
     """Adjacency-list dump of the alternating digraph that `violator_or_matching` searches.
 
     Edges run left to right along every graph edge and right to left along
-    the pairs of ``matching``. Left vertices print as ``L<i>``, right as
-    ``R<j>``; one line per vertex with outgoing edges. Intended for
-    debugging via the CLI.
+    the edges of the graph's `maximum_matching`. Left vertices print as
+    ``L<i>``, right as ``R<j>``; one line per vertex with outgoing edges.
+    Intended for debugging via the CLI.
     """
-    owner = {y: x for x, y in matching.pairs}
+    owner = {y: x for x, y in maximum_matching(graph).items()}
     lines = []
     for x in range(1, graph.n_left + 1):
         targets = " ".join(f"R{y}" for y in graph.adj[x - 1])

@@ -108,8 +108,7 @@ def run_solve(args: argparse.Namespace) -> int:
         for index, (rows, _) in enumerate(solver.solve_passes(profile), start=1):
             graph = bigraph.BipartiteGraph(profile.n_houses, rows)
             print(f"# iteration {index} alternating digraph", file=sys.stderr)
-            matching = bigraph.maximum_matching(graph)
-            print(bigraph.format_alternating_digraph(graph, matching), file=sys.stderr)
+            print(bigraph.format_alternating_digraph(graph), file=sys.stderr)
     # nonexistence always ships its trace: the removals are the certificate
     include_trace = args.trace or assignment is None
     if args.format == "json":
@@ -159,9 +158,9 @@ def run_oracle(args: argparse.Namespace) -> int:
 
 def _resolve_house_counts(args: argparse.Namespace) -> range:
     """The house counts to simulate, ascending; a range, so a long sweep costs no memory."""
-    if args.sweep and args.m:
+    if args.sweep is not None and args.m is not None:
         raise ProfileError("use either --m or --sweep, not both")
-    if args.sweep:
+    if args.sweep is not None:
         parts = args.sweep.split(":")
         if len(parts) != 3:
             raise ProfileError("--sweep expects m1:m2:step")

@@ -77,7 +77,11 @@ def _rank_matrix(ranks) -> np.ndarray:
     if array.ndim != 2:
         raise ProfileError(f"ranks must form a 2-d matrix, got shape {array.shape}")
     if array.dtype.kind == "O" and all(type(v) is int for v in array.flat):
-        raise ProfileError(f"rank values must fit in int64, got {max(array.flat, key=abs)}")
+        low = int(np.iinfo(np.int64).min)
+        wide = next((v for v in array.flat if not low <= v <= WORST_RANK), None)
+        if wide is not None:
+            raise ProfileError(f"rank values must fit in int64, got {wide}")
+        array = array.astype(np.int64)
     if array.dtype.kind not in "iu":
         raise ProfileError(f"ranks must be integers, got {array.dtype} values")
     if array.dtype.kind == "u" and array.max() > WORST_RANK:

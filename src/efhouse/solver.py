@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bigraph import HallViolator, Matching, _violator_or_matching
+from .bigraph import HallViolator, _violator_or_matching
 from .prefs import WORST_RANK, PreferenceProfile
 
 
@@ -118,19 +118,17 @@ def envy_free_assignment(
     violators: list[HallViolator] = []
     assignment: Assignment | None = None
     for _, found in solve_passes(profile):
-        if isinstance(found, Matching):
-            houses = [0] * profile.n_agents  # a saturating matching fills every slot
-            for agent, house in found.pairs:
-                houses[agent - 1] = house
-            assignment = Assignment(tuple(houses))
-        else:
+        if isinstance(found, HallViolator):
             violators.append(found)
+        else:
+            # a saturating matching maps every agent to a house
+            assignment = Assignment(tuple(found[agent] for agent in range(1, profile.n_agents + 1)))
     return assignment, SolveTrace(profile.n_houses, tuple(violators), assignment)
 
 
 def solve_passes(
     profile: PreferenceProfile,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], HallViolator | Matching]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], HallViolator | dict[int, int]]]:
     """Each pass of the solve loop: its favorites rows and its search result.
 
     Row ``i`` lists, ascending, the houses on offer that agent ``i + 1``
@@ -153,7 +151,7 @@ def solve_passes(
         adj = tuple(rows)
         found = _violator_or_matching(adj)
         yield adj, found
-        if isinstance(found, Matching):
+        if not isinstance(found, HallViolator):
             return
         removed = found.neighborhood
         left -= len(removed)

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import efhouse
-from efhouse.bigraph import BipartiteGraph, Matching, maximum_matching
+from efhouse.bigraph import BipartiteGraph, maximum_matching
 from efhouse.prefs import PreferenceProfile, ProfileError
 from efhouse.solver import envy_free_assignment, result_json
 
@@ -170,12 +170,14 @@ def brute_force_max_matching_size(graph: BipartiteGraph) -> int:
     return best(1, frozenset())
 
 
-def has_augmenting_path(graph: BipartiteGraph, matching: Matching) -> bool:
-    """True when some unmatched left vertex can reach an unmatched right vertex."""
-    owner = {y: x for x, y in matching.pairs}
-    matched_left = {x for x, _ in matching.pairs}
+def has_augmenting_path(graph: BipartiteGraph, matching: dict[int, int]) -> bool:
+    """True when some unmatched left vertex can reach an unmatched right vertex.
+
+    ``matching`` maps each matched left vertex to its right partner.
+    """
+    owner = {y: x for x, y in matching.items()}
     for start in range(1, graph.n_left + 1):
-        if start in matched_left:
+        if start in matching:
             continue
         seen_right: set[int] = set()
         stack = [start]
@@ -196,12 +198,12 @@ def alternating_reach(graph: BipartiteGraph) -> set[int] | None:
     """Left vertices alternating paths reach from the lowest unmatched left vertex.
 
     The matching is `maximum_matching(graph)`; None when it covers every left
-    vertex. The walk reads only `graph.adj` and the matching's pairs, so it
+    vertex. The walk reads only `graph.adj` and the matching's edges, so it
     pins the violator independently of the library's tree search.
     """
-    owner = {y: x for x, y in maximum_matching(graph).pairs}
-    matched = set(owner.values())
-    start = next((x for x in range(1, graph.n_left + 1) if x not in matched), None)
+    matching = maximum_matching(graph)
+    owner = {y: x for x, y in matching.items()}
+    start = next((x for x in range(1, graph.n_left + 1) if x not in matching), None)
     if start is None:
         return None
     reached = {start}

@@ -16,7 +16,6 @@ from conftest import (
 from efhouse.bigraph import (
     BipartiteGraph,
     HallViolator,
-    Matching,
     _alternating_tree,
     format_alternating_digraph,
     maximum_matching,
@@ -75,20 +74,13 @@ def test_hall_violator_needs_one_more_vertex_than_neighbors(vertices, joint):
         HallViolator(frozenset(vertices), frozenset(joint))
 
 
-def test_matching_rejects_shared_vertex():
-    with pytest.raises(ValueError):
-        Matching(frozenset({(1, 1), (1, 2)}))
-    with pytest.raises(ValueError):
-        Matching(frozenset({(1, 1), (2, 1)}))
-
-
 def test_maximum_matching_empty_graph():
-    assert len(maximum_matching(graph(2, 2, [])).pairs) == 0
+    assert len(maximum_matching(graph(2, 2, []))) == 0
 
 
 def test_maximum_matching_shared_right_vertex():
     matching = maximum_matching(graph(2, 1, [(1, 1), (2, 1)]))
-    assert len(matching.pairs) == 1
+    assert len(matching) == 1
 
 
 def test_maximum_matching_is_deterministic():
@@ -102,9 +94,10 @@ def test_maximum_matching_is_deterministic():
 @given(bipartite_graphs())
 def test_maximum_matching_matches_brute_force(g):
     matching = maximum_matching(g)
-    for x, y in matching.pairs:
+    for x, y in matching.items():
         assert y in g.adj[x - 1]
-    assert len(matching.pairs) == brute_force_max_matching_size(g)
+    assert len(set(matching.values())) == len(matching)  # no right vertex matched twice
+    assert len(matching) == brute_force_max_matching_size(g)
 
 
 @settings(max_examples=150)
@@ -115,12 +108,12 @@ def test_maximum_matching_has_no_augmenting_path(g):
 
 def test_is_saturating_perfect_matching():
     g = graph(3, 3, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)])
-    assert isinstance(violator_or_matching(g), Matching)
+    assert isinstance(violator_or_matching(g), dict)
 
 
 def test_is_saturating_false_by_pigeonhole():
     g = graph(3, 2, [(x, y) for x in (1, 2, 3) for y in (1, 2)])
-    assert not isinstance(violator_or_matching(g), Matching)
+    assert not isinstance(violator_or_matching(g), dict)
 
 
 def test_minimal_violator_smallest_case():
@@ -132,7 +125,7 @@ def test_minimal_violator_smallest_case():
 
 def test_minimal_violator_three_agent_chain():
     g = graph(3, 2, [(1, 1), (2, 1), (2, 2), (3, 2)])
-    assert dict(maximum_matching(g).pairs) == {1: 1, 2: 2}
+    assert maximum_matching(g) == {1: 1, 2: 2}
     violator = violator_or_matching(g)
     assert violator.vertices == {1, 2, 3}
     assert violator.neighborhood == {1, 2}
@@ -148,7 +141,7 @@ def test_minimal_violator_isolated_seed():
 
 def test_minimal_violator_rejects_saturating_matching():
     g = graph(2, 2, [(1, 1), (2, 2)])
-    assert isinstance(violator_or_matching(g), Matching)
+    assert isinstance(violator_or_matching(g), dict)
 
 
 def test_minimal_violator_seed_is_lowest_unmatched():
@@ -174,7 +167,7 @@ def test_random_violators_satisfy_all_invariants():
         n_right = rng.randint(1, 8)
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.1, 0.6))
         violator = violator_or_matching(g)
-        if isinstance(violator, Matching):
+        if isinstance(violator, dict):
             continue
         assert len(violator.vertices) == len(violator.neighborhood) + 1
         assert violator.neighborhood == neighborhood(g, violator.vertices)
@@ -194,7 +187,7 @@ def test_violator_or_matching_is_the_violator_else_the_maximum_matching():
         if reach is None:
             saturating += 1
             assert found == maximum_matching(g)  # pair for pair
-            assert len(found.pairs) == g.n_left
+            assert len(found) == g.n_left
         else:
             assert isinstance(found, HallViolator)
             assert found.vertices == reach
@@ -243,7 +236,7 @@ def test_direct_claims_match_a_tree_from_every_start():
         tree = next(tree_per_start_closed_trees(g, owner), None)
         if tree is None:
             outcomes["matching"] += 1
-            assert violator_or_matching(g) == Matching(frozenset((x, y) for y, x in owner.items()))
+            assert violator_or_matching(g) == {x: y for y, x in owner.items()}
         else:
             outcomes["violator"] += 1
             removed = frozenset(step[1] for step in tree.values() if step is not None)
@@ -251,7 +244,7 @@ def test_direct_claims_match_a_tree_from_every_start():
         owner = {}
         for _ in tree_per_start_closed_trees(g, owner):
             pass
-        assert maximum_matching(g) == Matching(frozenset((x, y) for y, x in owner.items())), trial
+        assert maximum_matching(g) == {x: y for y, x in owner.items()}, trial
     assert min(outcomes.values()) > 500  # both outcomes are exercised
 
 
@@ -261,10 +254,10 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
         n_left, n_right = rng.randint(1, 60), rng.randint(1, 60)
         g = random_bipartite_graph(rng, n_left, n_right, rng.uniform(0.01, 0.2))
         matching = maximum_matching(g)
-        assert reference_matching_sizes(g) == (len(matching.pairs), len(matching.pairs))
+        assert reference_matching_sizes(g) == (len(matching), len(matching))
         violator = violator_or_matching(g)
-        assert isinstance(violator, Matching) == (len(matching.pairs) == g.n_left)
-        if isinstance(violator, Matching):
+        assert isinstance(violator, dict) == (len(matching) == g.n_left)
+        if isinstance(violator, dict):
             assert alternating_reach(g) is None
         else:
             assert violator.vertices == alternating_reach(g)
@@ -275,11 +268,13 @@ def test_maximum_matching_size_matches_scipy_and_networkx():
 @settings(max_examples=120)
 @given(bipartite_graphs(max_left=6, max_right=6))
 def test_hall_condition_matches_saturation(g):
-    saturating = len(maximum_matching(g).pairs) == g.n_left
-    assert isinstance(violator_or_matching(g), Matching) == saturating == (not brute_force_hall_check(g))
+    saturating = len(maximum_matching(g)) == g.n_left
+    assert isinstance(violator_or_matching(g), dict) == saturating == (not brute_force_hall_check(g))
 
 
 def test_alternating_digraph_dump():
     g = graph(2, 1, [(1, 1), (2, 1)])
-    dump = format_alternating_digraph(g, Matching(frozenset({(1, 1)})))
-    assert dump.splitlines() == ["L1 -> R1", "L2 -> R1", "R1 -> L1"]
+    assert format_alternating_digraph(g).splitlines() == ["L1 -> R1", "L2 -> R1", "R1 -> L1"]
+    # L1 first takes R1, so matching L2 needs the augmenting path L2 R1 L1 R2
+    g = graph(2, 2, [(1, 1), (1, 2), (2, 1)])
+    assert format_alternating_digraph(g).splitlines() == ["L1 -> R1 R2", "L2 -> R1", "R1 -> L2", "R2 -> L1"]

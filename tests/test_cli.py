@@ -353,6 +353,11 @@ def test_simulate_deterministic_output(capsys):
         ["simulate", "--n", "2", "--m", "2305843009213693952", "--trials", "1"],
         ["simulate", "--n", "10000000000000000000", "--m", "10000000000000000000", "--trials", "1"],
         ["simulate", "--n", "10000000000", "--m", "3nlogn", "--trials", "1"],
+        # an empty value is a value given, not an absent flag
+        ["simulate", "--n", "3", "--m", "", "--sweep", "3:4:1", "--trials", "5"],
+        ["simulate", "--n", "3", "--m", "4", "--sweep", "", "--trials", "5"],
+        ["simulate", "--n", "3", "--m", "", "--trials", "5"],
+        ["simulate", "--n", "3", "--sweep", "", "--trials", "5"],
     ],
 )
 def test_simulate_rejects_bad_parameters(argv, capsys):
@@ -371,6 +376,10 @@ def test_simulate_rejects_bad_parameters(argv, capsys):
             ["--n", "10000000000", "--m", "3nlogn"],
             "error: cannot hold the utilities of 10000000000 agents and 690775527899 houses\n",
         ),
+        (["--n", "3", "--sweep", ""], "error: --sweep expects m1:m2:step\n"),
+        (["--n", "3", "--m", ""], "error: --m must be an integer or `3nlogn`, got ''\n"),
+        (["--n", "3", "--m", "", "--sweep", "3:4:1"], "error: use either --m or --sweep, not both\n"),
+        (["--n", "3", "--m", "4", "--sweep", ""], "error: use either --m or --sweep, not both\n"),
     ],
 )
 def test_simulate_error_names_the_fault(argv, message, capsys):

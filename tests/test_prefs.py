@@ -151,11 +151,27 @@ def test_profile_shape_errors(ranks, message):
         ((1, WORST_RANK),),
         np.array([[1, 2**63]], dtype=np.uint64),
         np.array([[1, WORST_RANK]]),
+        np.array([[1, 2**70]], dtype=object),
+        np.array([[1, WORST_RANK]], dtype=object),
     ],
 )
 def test_profile_rejects_ranks_that_are_not_int64_below_the_sentinel(ranks):
     with pytest.raises(ProfileError):
         PreferenceProfile(ranks)
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        (np.array([[1, 2**70]], dtype=object), f"rank values must fit in int64, got {2**70}"),
+        (((-(2**63) - 1, 1),), f"rank values must fit in int64, got {-(2**63) - 1}"),
+        (np.array([[1, WORST_RANK]], dtype=object), f"rank values must lie below {WORST_RANK}"),
+    ],
+)
+def test_profile_names_the_rank_outside_int64(ranks, message):
+    with pytest.raises(ProfileError) as err:
+        PreferenceProfile(ranks)
+    assert str(err.value) == message
 
 
 def test_profile_accepts_negative_sparse_and_extreme_ranks():
@@ -166,6 +182,8 @@ def test_profile_accepts_negative_sparse_and_extreme_ranks():
     assert (profile.n_agents, profile.n_houses) == (1, 4)
     small = PreferenceProfile(np.array([[2, 1]], dtype=np.int8))
     assert small.ranks.dtype == np.int64 and small.ranks.tolist() == [[2, 1]]
+    boxed = PreferenceProfile(np.array([[1, 2]], dtype=object))
+    assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[1, 2]]
 
 
 def test_profile_copies_writeable_arrays_and_is_read_only():

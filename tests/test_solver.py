@@ -171,7 +171,7 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
     assert len(trace.iterations) > 10
     assert_favorites_rows_fresh(profile, trace)
     for graph, rec in zip(pass_graphs(profile), trace.iterations, strict=True):
-        size = len(maximum_matching(graph).pairs)
+        size = len(maximum_matching(graph))
         assert reference_matching_sizes(graph) == (size, size)
         assert (rec.violator is None) == (size == graph.n_left)
         if rec.violator is None:
@@ -207,7 +207,7 @@ def test_found_assignment_is_the_maximum_matching_of_the_last_pass():
         if assignment is None:
             continue
         found += 1
-        by_agent = dict(maximum_matching(pass_graphs(profile)[-1]).pairs)
+        by_agent = maximum_matching(pass_graphs(profile)[-1])
         assert assignment.houses == tuple(by_agent[a] for a in range(1, n + 1))
     assert found > 50
 
