@@ -76,9 +76,11 @@ def _rank_matrix(ranks) -> np.ndarray:
         raise ProfileError("profile needs at least one agent and one house")
     if array.ndim != 2:
         raise ProfileError(f"ranks must form a 2-d matrix, got shape {array.shape}")
-    if array.dtype.kind == "O" and all(type(v) is int for v in array.flat):
+    # numpy integers count as integers here, but bools (np.bool_ is no
+    # np.integer) do not
+    if array.dtype.kind == "O" and all(type(v) is int or isinstance(v, np.integer) for v in array.flat):
         low = int(np.iinfo(np.int64).min)
-        wide = next((v for v in array.flat if not low <= v <= WORST_RANK), None)
+        wide = next((v for v in array.flat if not low <= int(v) <= WORST_RANK), None)
         if wide is not None:
             raise ProfileError(f"rank values must fit in int64, got {wide}")
         array = array.astype(np.int64)

@@ -153,6 +153,10 @@ def test_profile_shape_errors(ranks, message):
         np.array([[1, WORST_RANK]]),
         np.array([[1, 2**70]], dtype=object),
         np.array([[1, WORST_RANK]], dtype=object),
+        ((np.int32(1), 2**70),),
+        np.array([[np.int64(1), np.int64(WORST_RANK)]], dtype=object),
+        np.array([[np.int64(1), True]], dtype=object),
+        np.array([[np.int64(1), np.bool_(True)]], dtype=object),
     ],
 )
 def test_profile_rejects_ranks_that_are_not_int64_below_the_sentinel(ranks):
@@ -166,6 +170,7 @@ def test_profile_rejects_ranks_that_are_not_int64_below_the_sentinel(ranks):
         (np.array([[1, 2**70]], dtype=object), f"rank values must fit in int64, got {2**70}"),
         (((-(2**63) - 1, 1),), f"rank values must fit in int64, got {-(2**63) - 1}"),
         (np.array([[1, WORST_RANK]], dtype=object), f"rank values must lie below {WORST_RANK}"),
+        (((np.int32(1), 2**70),), f"rank values must fit in int64, got {2**70}"),
     ],
 )
 def test_profile_names_the_rank_outside_int64(ranks, message):
@@ -184,6 +189,8 @@ def test_profile_accepts_negative_sparse_and_extreme_ranks():
     assert small.ranks.dtype == np.int64 and small.ranks.tolist() == [[2, 1]]
     boxed = PreferenceProfile(np.array([[1, 2]], dtype=object))
     assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[1, 2]]
+    boxed = PreferenceProfile(np.array([[np.int64(1), 2, np.uint64(WORST_RANK - 1)]], dtype=object))
+    assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[1, 2, WORST_RANK - 1]]
 
 
 def test_profile_copies_writeable_arrays_and_is_read_only():

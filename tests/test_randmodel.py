@@ -270,6 +270,56 @@ def test_chunk_size_does_not_change_the_estimate(cells, monkeypatch):
     assert (stats.successes, stats.mechanism_successes) == expected
 
 
+# the contested-tops screen runs where m - n < n // 2; found trials are
+# common at these shapes, and (7, 10) lies just past the gate
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (6, 8), (10, 14), (7, 9), (7, 10)])
+def test_screen_keeps_every_found_trial(n, m):
+    stats = estimate_existence_probability(n, m, trials=300, seed=31)
+    assert stats.successes > 0
+    assert (stats.successes, stats.mechanism_successes) == argsort_existence_counts(n, m, 300, 31)
+
+
+@pytest.mark.parametrize(
+    "n, m, trials",
+    [
+        pytest.param(20, 20, 500, id="screened"),
+        pytest.param(3, 3, 200, id="screened-with-found-trials"),
+        pytest.param(20, 180, 60, id="past-the-gate"),
+    ],
+)
+def test_screen_solves_only_the_trials_it_leaves_open(n, m, trials, monkeypatch):
+    calls = 0
+    solve = randmodel.envy_free_assignment
+
+    def counted(profile):
+        nonlocal calls
+        calls += 1
+        return solve(profile)
+
+    monkeypatch.setattr(randmodel, "envy_free_assignment", counted)
+    stats = estimate_existence_probability(n, m, trials=trials, seed=37)
+    # at m = n an assignment is envy-free exactly when all tops differ,
+    # which is exactly when the screen leaves the trial open
+    assert calls == (stats.successes if m == n else trials)
+
+
+def strict_ranks(n: int, m: int) -> np.ndarray:
+    """Every strict ``(n, m)`` profile's dense ranks, stacked."""
+    rows = [np.argsort(order) + 1 for order in itertools.permutations(range(m))]
+    return np.array([list(profile) for profile in itertools.product(rows, repeat=n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
+def test_screened_out_profiles_have_no_envy_free_assignment(n, m):
+    ranks = strict_ranks(n, m)
+    contested = randmodel._contested_tops(ranks)
+    for matrix, count in zip(ranks, contested.tolist()):
+        found, _ = envy_free_assignment(PreferenceProfile(matrix))
+        # the screen's none is the solver's, and at m = n conversely too
+        assert (found is None) == (count > m - n)
+    assert 0 < (contested > m - n).sum() < len(ranks)
+
+
 def test_sweep_rows_match_single_house_count_runs(capsys):
     args = ["simulate", "--n", "6", "--trials", "45", "--seed", "3"]
     assert cli.main(args + ["--sweep", "6:14:4"]) == 0
