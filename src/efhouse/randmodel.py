@@ -6,12 +6,10 @@ published statistics are therefore reproducible from the seed alone.
 Per-trial generators are keyed by (master seed, trial index), so trials are
 independent of execution order and safe to parallelize.
 
-`estimate_existence_probability` derives its trials' generator states in
-blocks: `_pcg64_states` runs numpy's exact SeedSequence/PCG64 seeding
-algorithm as uint32 array operations across a block of trial indices.
-`_generator` remains the reference (and the path for the ``sample_*``
-functions and for trial indices from 2**32 on); a tier-1 test pins the two
-together.
+Trial t's generator is ``PCG64(SeedSequence([seed, t]))``, but
+`estimate_existence_probability` builds no SeedSequence: `_pcg64_states`
+runs numpy's exact seeding algorithm as uint32 array operations across a
+block of trial indices. A tier-1 test compares its states with numpy's.
 """
 
 from __future__ import annotations
@@ -28,15 +26,23 @@ from .solver import Assignment, envy_free_assignment, require_enough_houses
 
 @dataclass(frozen=True, eq=False)
 class UtilityMatrix:
-    """Cardinal utilities in [0, 1]; rows are agents, columns are houses."""
+    """Cardinal utilities in [0, 1]; rows are agents, columns are houses.
+
+    ``values`` may be any real array-like (bool, integer or float), held as
+    the array `np.asarray` makes of it.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.values.size == 0:
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"utilities must be real numbers, got dtype {values.dtype}")
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2 or values.size == 0:
             raise ValueError("utilities must form a nonempty 2-d array")
         # written so that NaN, which fails every comparison, is rejected too
-        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("utilities must lie in [0, 1]")
 
 
@@ -66,10 +72,10 @@ class MonteCarloStats:
         return self.successes / self.trials
 
 
-def _generator(seed: int, *key: int) -> np.random.Generator:
+def _generator(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 # trials whose generator states `_trial_states` derives together; bounds
@@ -78,16 +84,15 @@ _SEED_BLOCK = 1 << 10
 
 
 def _trial_states(seed: int, first: int, stop: int) -> Iterator[dict]:
-    """``_generator(seed, t).bit_generator.state`` for t = first, ..., stop - 1, in order.
+    """``PCG64(SeedSequence([seed, t])).state`` for t = first, ..., stop - 1, in order.
 
-    Needs ``seed >= 0``. States below trial 2**32 are derived in blocks by
-    `_pcg64_states`; later ones come from `_generator` itself.
+    Needs ``seed >= 0``. Each block of `_pcg64_states` ends after
+    `_SEED_BLOCK` trials or at the next multiple of 2**32.
     """
-    derived = min(stop, 1 << 32)
-    for block in range(first, derived, _SEED_BLOCK):
-        yield from _pcg64_states(seed, block, min(block + _SEED_BLOCK, derived))
-    for trial in range(max(first, derived), stop):
-        yield _generator(seed, trial).bit_generator.state
+    while first < stop:
+        end = min(stop, first + _SEED_BLOCK, ((first >> 32) + 1) << 32)
+        yield from _pcg64_states(seed, first, end)
+        first = end
 
 
 # numpy's SeedSequence hash and mix constants (pool of four uint32 words)
@@ -107,24 +112,25 @@ def _hash_constants(value: int, mult: int) -> Iterator[int]:
         value = value * mult & _MASK32
 
 
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence splits ``value >= 0`` into."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
 def _pcg64_states(seed: int, first: int, stop: int) -> list[dict]:
     """``PCG64(SeedSequence([seed, t])).state`` for t = first, ..., stop - 1.
 
-    Needs ``seed >= 0`` and ``0 <= first <= stop <= 2**32``. Then every
-    trial's entropy is the seed's little-endian uint32 words followed by the
-    one word t, so SeedSequence's pool mixing and ``generate_state`` run as
-    uint32 array operations across the block, each step the same for every
-    trial. PCG64's seeding (two 128-bit LCG steps) finishes each state in
-    Python ints. `_generator` is the reference the tests hold this to.
+    Needs ``seed >= 0`` and ``0 <= first < stop``, with no multiple of 2**32
+    in first + 1, ..., stop - 1. Then each trial's entropy is the seed's
+    words, t's low word and the words of ``t >> 32`` if nonzero, and only
+    the low word differs across the block. So SeedSequence's pool mixing and
+    ``generate_state`` run as uint32 array operations, each step the same
+    for every trial, and PCG64's seeding finishes each state in Python ints.
     """
-    trials = np.arange(first, stop, dtype=np.uint32)
-    entropy = []
-    while True:
-        entropy.append(np.full_like(trials, seed & _MASK32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(trials)
+    low, *high = _uint32_words(first)
+    trials = np.arange(low, low + stop - first, dtype=np.uint32)
+    entropy = [np.full_like(trials, word) for word in _uint32_words(seed)]
+    entropy += [trials, *(np.full_like(trials, word) for word in high)]
     steps = itertools.pairwise(_hash_constants(_HASH_INIT_A, _HASH_MULT_A))
 
     def hashmix(words):
@@ -190,8 +196,13 @@ def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Dense ranks of each row of ``values`` by decreasing value, ties toward the lower index."""
-    return _ranks_from_orders(np.argsort(-values, axis=1, kind="stable"))
+    """Dense ranks of each row of ``values`` by decreasing value, ties toward the lower index.
+
+    Ranks the values as float64, exact for any real dtype on [0, 1]: a
+    negated unsigned or bool value would wrap or fail.
+    """
+    floats = values.astype(np.float64, copy=False)
+    return _ranks_from_orders(np.argsort(-floats, axis=1, kind="stable"))
 
 
 # `Generator.random` returns multiples of 2**-53, so a utility u on that grid

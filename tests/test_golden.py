@@ -54,6 +54,9 @@ SIMULATE = [
     ["simulate", "--n", "20", "--m", "20", "--trials", "200", "--seed", "0"],
     ["simulate", "--n", "10", "--sweep", "10:40:10", "--trials", "100"],
     ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "0"],
+    # seeds of two and three uint32 words
+    ["simulate", "--n", "10", "--m", "20", "--trials", "200", "--seed", "4294967296"],
+    ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "18446744073709551619"],
 ]
 
 

@@ -83,6 +83,12 @@ def numpy_pcg64_state(seed: int, trial: int) -> dict:
         pytest.param(4090, 4101, 4, id="across-small-blocks"),
         pytest.param(2**32 - 3, 2**32 + 2, None, id="across-2**32"),
         pytest.param(2**32 - 3, 2**32 + 2, 2, id="across-2**32-in-small-blocks"),
+        pytest.param(7, randmodel._SEED_BLOCK + 9, None, id="from-within-a-block"),
+        pytest.param(2**33 - 5, 2**33 + 6, 4, id="across-2**33-from-within-a-block"),
+        pytest.param(2**64 - 3, 2**64 + 2, None, id="across-2**64"),
+        pytest.param(2**64 - 3, 2**64 + 2, 2, id="across-2**64-in-small-blocks"),
+        pytest.param(2**96 - 2, 2**96 + 3, None, id="across-2**96"),
+        pytest.param(2**96 - 2, 2**96 + 3, 2, id="across-2**96-in-small-blocks"),
     ],
 )
 def test_trial_generators_take_numpy_seeding_states(seed, first, stop, block, monkeypatch):
@@ -413,6 +419,29 @@ def test_utility_matrix_validation():
         UtilityMatrix(np.array([[1.5, 0.2]]))
     with pytest.raises(ValueError):
         UtilityMatrix(np.array([0.5, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "values, real",
+    [
+        (np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8), True),
+        (np.array([[True, False, True], [False, False, True]]), True),
+        (np.array([[0, 1, 0], [1, 1, 0]], dtype=np.int64), True),
+        (np.array([[0.5, 0.25, 0.75], [0.0, 1.0, 0.25]], dtype=np.float32), True),
+        ([[0.5, 0.25, 0.75], [1, 0, 0.5]], True),
+        (np.array([[0.5, 0.25j], [0.75, 0.0]]), False),
+        (np.array([[0.5, 0.25], [0.75, 0.0]], dtype=object), False),
+    ],
+    ids=["uint8", "bool", "int64", "float32", "list", "complex", "object"],
+)
+def test_utility_matrix_takes_real_array_likes(values, real):
+    if not real:
+        with pytest.raises(ValueError, match="^utilities must be real numbers, got dtype "):
+            UtilityMatrix(values)
+        return
+    profile = utilities_to_profile(UtilityMatrix(values))
+    # the reference sorts floats: a negated uint8 wraps and a negated bool fails
+    assert profile.ranks.tolist() == per_row_sort_ranks(np.asarray(values, dtype=np.float64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

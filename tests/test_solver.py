@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 import tracemalloc
@@ -6,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import (
     alternating_reach,
@@ -181,6 +184,69 @@ def test_favorites_rows_fresh_at_scale(seed, n, m, ties):
             assert S == alternating_reach(graph)
             assert len(S) == len(N) + 1
             assert N == neighborhood(graph, S)
+
+
+def canonical_violator(rows: tuple[tuple[int, ...], ...], m: int) -> tuple[set[int], set[int]] | None:
+    """The violator of the favorites graph ``rows``, found without the solver's search.
+
+    None when the agents have a saturating matching. Otherwise k is the
+    smallest agent count whose prefix 1..k has none (a deficient prefix stays
+    deficient when extended, so bisection finds k). A maximum matching of the
+    prefix leaves one agent unmatched, and the agents its alternating paths
+    reach, with their neighborhood, are the violator: by the
+    Dulmage-Mendelsohn decomposition the same set for every maximum matching.
+    """
+    indptr = np.cumsum([0, *map(len, rows)])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), np.int32, indptr[-1]) - 1
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(rows), m))
+
+    def partners(k: int) -> np.ndarray:
+        """Each of agents 1..k's matched column in a maximum matching, -1 if none."""
+        return maximum_bipartite_matching(graph[:k], perm_type="column")
+
+    if (partners(len(rows)) >= 0).all():
+        return None
+    saturated, deficient = 0, len(rows)
+    while deficient - saturated > 1:
+        mid = (saturated + deficient) // 2
+        if (partners(mid) >= 0).all():
+            saturated = mid
+        else:
+            deficient = mid
+    match = partners(deficient).tolist()
+    owner = {house + 1: agent for agent, house in enumerate(match) if house >= 0}
+    reached = [match.index(-1)]
+    for agent in reached:
+        for house in rows[agent]:
+            # every house it meets is matched, or the matching could grow
+            if owner[house] not in reached:
+                reached.append(owner[house])
+    return {agent + 1 for agent in reached}, {house for agent in reached for house in rows[agent]}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_strict_profile(random.Random(1), 200, 400),
+        lambda: random_tie_profile(random.Random(3), 150, 300),
+        lambda: random_tie_profile(random.Random(4), 250, 300),
+        lambda: tiered_profile(200, 400, 5, seed=6, popularity=0.5),
+        lambda: tiered_profile(200, 400, 50, seed=5, popularity=0.95),
+    ],
+    ids=["strict-200x400", "tied-150x300", "tied-250x300", "tiers-of-5", "tiers-of-50"],
+)
+def test_every_violator_is_the_canonical_one(make):
+    profile = make()
+    violators = 0
+    for rows, found in solver.solve_passes(profile):
+        expected = canonical_violator(rows, profile.n_houses)
+        if expected is None:
+            assert not isinstance(found, HallViolator)
+        else:
+            assert isinstance(found, HallViolator)
+            assert (set(found.vertices), set(found.neighborhood)) == expected
+            violators += 1
+    assert violators > 3
 
 
 def test_rank_values_matter_only_through_their_order():
