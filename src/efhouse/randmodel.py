@@ -2,7 +2,10 @@
 
 All randomness flows through numpy's PCG64 bit generator seeded with a
 SeedSequence, which numpy guarantees to be stream-stable across versions;
-published statistics are therefore reproducible from the seed alone.
+published statistics are therefore reproducible from the seed alone. Every
+seeded function takes any Python or numpy integer >= 0 as its seed, through
+one check (`_checked_seed`), and the samplers draw from
+``np.random.default_rng(seed)``, which is ``PCG64(SeedSequence(seed))``.
 Per-trial generators are keyed by (master seed, trial index), so trials are
 independent of execution order and safe to parallelize.
 
@@ -15,6 +18,7 @@ block of trial indices. A tier-1 test compares its states with numpy's.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -28,16 +32,19 @@ from .solver import Assignment, envy_free_assignment, require_enough_houses
 class UtilityMatrix:
     """Cardinal utilities in [0, 1]; rows are agents, columns are houses.
 
-    ``values`` may be any real array-like (bool, integer or float), held as
-    the array `np.asarray` makes of it.
+    ``values`` may be any real array-like (bool, integer or float). The
+    matrix copies it into a read-only array of the dtype `np.array` gives
+    it, so no later write to the given object reaches the matrix or gets
+    past the range check.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        values = np.array(self.values)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"utilities must be real numbers, got dtype {values.dtype}")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("utilities must form a nonempty 2-d array")
@@ -72,10 +79,17 @@ class MonteCarloStats:
         return self.successes / self.trials
 
 
-def _generator(seed: int) -> np.random.Generator:
+def _checked_seed(seed: int) -> int:
+    """``seed`` as a Python int, for any Python or numpy integer ``>= 0``.
+
+    `operator.index` rejects floats, None and other non-integers with
+    TypeError; `np.random.default_rng` alone would take None as a request
+    for fresh OS entropy.
+    """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return seed
 
 
 # trials whose generator states `_trial_states` derives together; bounds
@@ -174,7 +188,7 @@ def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
     """Profile where each agent draws an independent uniform strict ranking."""
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one house")
-    rng = _generator(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     orders = np.stack([rng.permutation(m) for _ in range(n)])
     return PreferenceProfile(_ranks_from_orders(orders))
 
@@ -183,7 +197,7 @@ def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
     """Utilities drawn iid uniform from [0, 1)."""
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one house")
-    return UtilityMatrix(_generator(seed).random((n, m)))
+    return UtilityMatrix(np.random.default_rng(_checked_seed(seed)).random((n, m)))
 
 
 def utilities_to_profile(utilities: UtilityMatrix) -> PreferenceProfile:
@@ -322,8 +336,7 @@ def estimate_existence_probability(
     if n < 1:
         raise ValueError("need at least one agent and one house")
     require_enough_houses(n, m)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = _checked_seed(seed)
     chunk = max(1, _CHUNK_CELLS // (n * m))
     try:
         buffer = np.empty((min(chunk, trials), n, m))

@@ -57,6 +57,8 @@ SIMULATE = [
     # seeds of two and three uint32 words
     ["simulate", "--n", "10", "--m", "20", "--trials", "200", "--seed", "4294967296"],
     ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "18446744073709551619"],
+    # inside the contested-tops screen's region (m - n < n // 2), with found trials
+    ["simulate", "--n", "4", "--m", "5", "--trials", "200", "--seed", "0"],
 ]
 
 

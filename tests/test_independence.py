@@ -1,15 +1,26 @@
-"""`bench/checker.py` audits efhouse's output with code of its own.
+"""Source guards, read with `ast`: what each module may import and draw from.
 
-A checker that imported efhouse could share a fault with the code it
-checks, and efhouse must run without the benchmark beside it, so neither
-side may import the other. The test reads the sources only.
+`bench/checker.py` audits efhouse's output with code of its own. A checker
+that imported efhouse could share a fault with the code it checks, and
+efhouse must run without the benchmark beside it, so neither side may
+import the other.
+
+Every published number must be reproducible from the seed alone, so only
+`randmodel.py` may reach `numpy.random`, which it seeds from its callers'
+seeds, and no module may import `random` or `secrets`. A solver tie-break
+that drew unseeded randomness would fail here.
+
+The tests read the sources only.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
+SOURCES = sorted((ROOT / "src" / "efhouse").glob("*.py"))
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -23,11 +34,59 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
+def refers_to_numpy_random(source: str) -> bool:
+    """Whether ``source`` imports `numpy.random` or reads it as an attribute of numpy."""
+    tree = ast.parse(source)
+    numpy_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy.random" or alias.name.startswith("numpy.random."):
+                    return True
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            if node.module == "numpy.random" or node.module.startswith("numpy.random."):
+                return True
+            if node.module == "numpy" and any(alias.name == "random" for alias in node.names):
+                return True
+    return any(
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in numpy_names
+        for node in ast.walk(tree)
+    )
+
+
 def test_checker_and_efhouse_import_nothing_of_each_other():
     assert "efhouse" not in imported_modules(BENCH / "checker.py")
     # the benchmark runs with bench/ on the path, so its modules import by file name
     bench_modules = {"bench"} | {path.stem for path in BENCH.glob("*.py")}
-    sources = sorted((ROOT / "src" / "efhouse").glob("*.py"))
-    assert sources
-    for path in sources:
+    assert SOURCES
+    for path in SOURCES:
         assert not imported_modules(path) & bench_modules, path.name
+
+
+def test_only_randmodel_draws_random_numbers():
+    assert "randmodel.py" in {path.name for path in SOURCES}
+    for path in SOURCES:
+        assert not imported_modules(path) & {"random", "secrets"}, path.name
+        draws = refers_to_numpy_random(path.read_text(encoding="utf-8"))
+        assert draws == (path.name == "randmodel.py"), path.name
+
+
+@pytest.mark.parametrize(
+    "source, draws",
+    [
+        ("import numpy as np\nnp.random.default_rng()", True),
+        ("import numpy\nnumpy.random.random()", True),
+        ("import numpy.random", True),
+        ("from numpy import random", True),
+        ("from numpy.random import default_rng", True),
+        ("import numpy as np\nnp.argsort([])", False),
+        ("from . import random\nrandom.shuffle", False),  # a relative module, not numpy's
+    ],
+)
+def test_numpy_random_guard_sees_each_form(source, draws):
+    assert refers_to_numpy_random(source) == draws

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ def test_sampling_is_deterministic_per_seed():
     first = sample_utilities(3, 4, seed=8)
     second = sample_utilities(3, 4, seed=8)
     assert np.array_equal(first.values, second.values)
+    # the samplers draw from numpy's default generator for the seed
+    rng = np.random.default_rng(7)
+    orders = [rng.permutation(5) for _ in range(3)]
+    assert sample_strict_profile(3, 5, seed=7).ranks.tolist() == [(np.argsort(o) + 1).tolist() for o in orders]
+    assert np.array_equal(sample_utilities(3, 5, seed=7).values, np.random.default_rng(7).random((3, 5)))
 
 
 @pytest.mark.parametrize("sample", [sample_strict_profile, sample_utilities])
@@ -53,10 +59,27 @@ def test_sampling_needs_an_agent_and_a_house(sample, n, m):
         sample(n, m, seed=1)
 
 
-def test_negative_seed_rejected(monkeypatch):
-    with pytest.raises(ValueError):
-        sample_strict_profile(2, 2, seed=-1)
+# each seeded entry point, as a function of its seed alone
+SEEDED = [
+    pytest.param(lambda seed: sample_strict_profile(3, 4, seed).ranks.tolist(), id="sample_strict_profile"),
+    pytest.param(lambda seed: sample_utilities(3, 4, seed).values.tolist(), id="sample_utilities"),
+    pytest.param(lambda seed: estimate_existence_probability(3, 4, 20, seed), id="estimate_existence_probability"),
+]
 
+
+@pytest.mark.parametrize("draw", SEEDED)
+def test_seeded_entry_points_share_one_seed_rule(draw):
+    # numpy integers seed as the equal Python int
+    for seed in (np.int64(5), np.uint64(2**64 - 1)):
+        assert draw(seed) == draw(int(seed))
+    for seed in (5.0, None):  # None would draw fresh OS entropy
+        with pytest.raises(TypeError):
+            draw(seed)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        draw(-1)
+
+
+def test_negative_seed_rejected(monkeypatch):
     def no_states(*args):
         raise AssertionError("derived generator states for a negative seed")
 
@@ -326,6 +349,78 @@ def test_screened_out_profiles_have_no_envy_free_assignment(n, m):
     assert 0 < (contested > m - n).sum() < len(ranks)
 
 
+def exact_existence_probability(n: int, m: int) -> Fraction:
+    """The chance that uniform strict rankings admit an envy-free assignment.
+
+    Agents draw their tops one at a time; a contested top is dropped at
+    once, and the order of drops does not change the verdict. So the
+    verdict is the absorption of a chain on (r houses left, s agents
+    settled on distinct tops), started at (m, 0): with chance (r - s)/r the
+    next agent lands on a free house, (r, s + 1); otherwise on a settled
+    agent's house, which is dropped while both agents wait, (r - 1, s - 1).
+    s = n is found and r < n is none. ``found[s]`` is the chance of found
+    from (r, s), filled for r = n, ..., m in turn and, within r, for
+    s = n, ..., 0.
+    """
+    found = [Fraction(0)] * (n + 1)  # r = n - 1: too few houses
+    for r in range(n, m + 1):
+        below, found = found, [Fraction(0)] * n + [Fraction(1)]
+        for s in range(n - 1, -1, -1):
+            # at s = 0 the second term's chance is 0, whatever below[-1] holds
+            found[s] = Fraction(r - s, r) * found[s + 1] + Fraction(s, r) * below[s - 1]
+    return found[0]
+
+
+def exact_mechanism_probability(n: int, m: int) -> float:
+    """The chance that the threshold mechanism serves every agent on uniform draws.
+
+    A draw is k / 2**53 for k uniform in 0..2**53 - 1, so it meets the
+    cutoff ``1.0 - 1.0 / n`` (as `_claims` computes it) with chance p, a
+    multiple of 2**-53 and so an exact float. Each house is claimable by a
+    given agent alone with chance q = p(1 - p)**(n - 1), independently
+    across houses, and every agent is served exactly when each has a
+    claimable house: inclusion-exclusion over the agents left without one.
+    The sum runs in floats; its terms are too few and too small to cancel.
+    """
+    cutoff = 1.0 - 1.0 / n
+    p = (2**53 - math.ceil(cutoff * 2**53)) / 2**53
+    q = p * (1 - p) ** (n - 1)
+    return math.fsum((-1) ** k * math.comb(n, k) * (1 - k * q) ** m for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "n, m, expected",
+    [(2, 3, Fraction(5, 6)), (2, 4, Fraction(23, 24)), (3, 4, Fraction(37, 72))],
+)
+def test_existence_chain_equals_enumeration(n, m, expected):
+    ranks = strict_ranks(n, m)
+    found = sum(envy_free_assignment(PreferenceProfile(matrix))[0] is not None for matrix in ranks)
+    assert Fraction(found, len(ranks)) == exact_existence_probability(n, m) == expected
+
+
+def z_score(count: int, trials: int, probability: float) -> float:
+    return (count - trials * probability) / math.sqrt(trials * probability * (1 - probability))
+
+
+# |z| <= 5 leaves a fixed seed's count room for chance, while a simulate
+# that mis-seeds or mis-screens its trials lands far outside (|z| 27 to 62
+# for the faults recorded in CHANGES.md)
+@pytest.mark.parametrize(
+    "n, m, trials, seed, solver_column",
+    [
+        pytest.param(4, 5, 20_000, 1, True, id="screened"),
+        pytest.param(10, 27, 4_000, 3, True, id="mid"),
+        # the solver's probability rounds to 1, so only the mechanism's varies
+        pytest.param(20, 180, 2_000, 5, False, id="3nlogn"),
+    ],
+)
+def test_estimate_counts_match_exact_probabilities(n, m, trials, seed, solver_column):
+    stats = estimate_existence_probability(n, m, trials=trials, seed=seed)
+    if solver_column:
+        assert abs(z_score(stats.successes, trials, float(exact_existence_probability(n, m)))) <= 5
+    assert abs(z_score(stats.mechanism_successes, trials, exact_mechanism_probability(n, m))) <= 5
+
+
 def test_sweep_rows_match_single_house_count_runs(capsys):
     args = ["simulate", "--n", "6", "--trials", "45", "--seed", "3"]
     assert cli.main(args + ["--sweep", "6:14:4"]) == 0
@@ -412,6 +507,16 @@ def test_utility_path_matches_uniform_ranking_distribution():
         [counts[p] for p in itertools.permutations((1, 2, 3))]
     )
     assert result.pvalue > 1e-3
+
+
+def test_utility_matrix_holds_a_read_only_copy():
+    values = np.array([[0.5, 0.2], [0.1, 0.9]])
+    utilities = UtilityMatrix(values)
+    values[0, 0] = 7.0  # a later write to the caller's array skips no check
+    assert utilities.values.tolist() == [[0.5, 0.2], [0.1, 0.9]]
+    assert not utilities.values.flags.writeable
+    with pytest.raises(ValueError):
+        utilities.values[0, 0] = 7.0
 
 
 def test_utility_matrix_validation():
@@ -645,7 +750,6 @@ def test_estimate_rejects_no_agents_before_drawing(n, m, monkeypatch):
     def no_draw(*key):
         raise AssertionError("drew utilities for an instance without agents")
 
-    monkeypatch.setattr(randmodel, "_generator", no_draw)
     monkeypatch.setattr(randmodel, "_trial_states", no_draw)
     with pytest.raises(ValueError, match=r"^need at least one agent"):
         estimate_existence_probability(n, m, trials=5, seed=1)
