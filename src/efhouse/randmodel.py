@@ -4,7 +4,9 @@ All randomness flows through numpy's PCG64 bit generator seeded with a
 SeedSequence, which numpy guarantees to be stream-stable across versions;
 published statistics are therefore reproducible from the seed alone. Every
 seeded function takes any Python or numpy integer >= 0 as its seed, through
-one check (`_checked_seed`), and the samplers draw from
+one check (`_checked_seed`); every size (n, m, trials) goes through
+`operator.index` the same way, so a float raises TypeError and a numpy
+integer acts as the equal Python int. The samplers draw from
 ``np.random.default_rng(seed)``, which is ``PCG64(SeedSequence(seed))``.
 Per-trial generators are keyed by (master seed, trial index), so trials are
 independent of execution order and safe to parallelize.
@@ -184,10 +186,17 @@ def _pcg64_states(seed: int, first: int, stop: int) -> list[dict]:
     return states
 
 
-def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
-    """Profile where each agent draws an independent uniform strict ranking."""
+def _checked_shape(n: int, m: int) -> tuple[int, int]:
+    """``(n, m)`` as Python ints, for any Python or numpy integers ``>= 1``."""
+    n, m = operator.index(n), operator.index(m)
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one house")
+    return n, m
+
+
+def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
+    """Profile where each agent draws an independent uniform strict ranking."""
+    n, m = _checked_shape(n, m)
     rng = np.random.default_rng(_checked_seed(seed))
     orders = np.stack([rng.permutation(m) for _ in range(n)])
     return PreferenceProfile(_ranks_from_orders(orders))
@@ -195,8 +204,7 @@ def sample_strict_profile(n: int, m: int, seed: int) -> PreferenceProfile:
 
 def sample_utilities(n: int, m: int, seed: int) -> UtilityMatrix:
     """Utilities drawn iid uniform from [0, 1)."""
-    if n < 1 or m < 1:
-        raise ValueError("need at least one agent and one house")
+    n, m = _checked_shape(n, m)
     return UtilityMatrix(np.random.default_rng(_checked_seed(seed)).random((n, m)))
 
 
@@ -327,10 +335,12 @@ def estimate_existence_probability(
     counts each trial's contested tops (`_contested_tops`), and a trial with
     more than ``m - n`` of them counts as having no envy-free assignment
     without a solve; at most ``n // 2`` tops can be contested, so otherwise
-    that pass could rule out no trial and is skipped. Every other trial is
-    solved on its own, so every found verdict comes from the solver. Raises
-    MemoryError when one trial's utilities cannot be held.
+    that pass could rule out no trial and is skipped. Only the trials the
+    screen leaves open become profiles, each solved on its own, so every
+    found verdict comes from the solver. Raises MemoryError when one
+    trial's utilities cannot be held.
     """
+    n, m, trials = map(operator.index, (n, m, trials))
     if trials < 1:
         raise ValueError("trials must be positive")
     if n < 1:
@@ -357,10 +367,9 @@ def estimate_existence_probability(
             generator.bit_generator.state = state
             generator.random(out=trial_values)
         ranks = rank(values.reshape(-1, m)).reshape(values.shape)
-        profiles = _stacked_profiles(ranks)
         if m - n < n // 2:  # else no trial can have more than m - n contested tops
-            profiles = itertools.compress(profiles, _contested_tops(ranks) <= m - n)
-        for profile in profiles:
+            ranks = ranks[_contested_tops(ranks) <= m - n]
+        for profile in _stacked_profiles(ranks):
             found, _ = envy_free_assignment(profile)
             successes += found is not None
         mechanism_successes += int(_serves_everyone(_claims(values)).sum())

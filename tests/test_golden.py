@@ -59,6 +59,10 @@ SIMULATE = [
     ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "18446744073709551619"],
     # inside the contested-tops screen's region (m - n < n // 2), with found trials
     ["simulate", "--n", "4", "--m", "5", "--trials", "200", "--seed", "0"],
+    # above 512 houses, where trials rank by `_dense_ranks` rather than packed
+    # keys; m = 544 is about e * n, the existence threshold in the literature
+    ["simulate", "--n", "200", "--m", "544", "--trials", "20", "--seed", "0"],
+    ["simulate", "--n", "62", "--m", "3nlogn", "--trials", "40", "--seed", "0"],
 ]
 
 

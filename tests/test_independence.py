@@ -10,6 +10,10 @@ Every published number must be reproducible from the seed alone, so only
 seeds, and no module may import `random` or `secrets`. A solver tie-break
 that drew unseeded randomness would fail here.
 
+A name with a leading underscore is private to its module. The few that
+other efhouse modules use are listed in `PRIVATE_CROSSINGS`; a new one
+fails here until it is listed, and deleting one needs no edit.
+
 The tests read the sources only.
 """
 
@@ -21,6 +25,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 SOURCES = sorted((ROOT / "src" / "efhouse").glob("*.py"))
+# (using module, "module._name") for each private name one efhouse module
+# imports from, or reads on, another
+PRIVATE_CROSSINGS = {
+    ("solver", "bigraph._violator_or_matching"),
+    ("randmodel", "prefs._stacked_profiles"),
+    ("cli", "solver._trace_steps"),
+}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -59,6 +70,43 @@ def refers_to_numpy_random(source: str) -> bool:
     )
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def efhouse_module(node: ast.ImportFrom) -> str | None:
+    """The efhouse module ``node`` imports from, "" for the package, None outside efhouse."""
+    if node.level == 1:
+        return node.module or ""
+    if not node.level and node.module and node.module.partition(".")[0] == "efhouse":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_crossings(source: str) -> set[str]:
+    """The other efhouse modules' private names ``source`` imports or reads, as "module._name"."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> the efhouse module it is bound to
+    crossings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "efhouse" and module and alias.asname:
+                    modules[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom) and (module := efhouse_module(node)) is not None:
+            for alias in node.names:
+                if not module:
+                    modules[alias.asname or alias.name] = alias.name
+                elif is_private(alias.name):
+                    crossings.add(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and is_private(node.attr):
+            if node.value.id in modules:
+                crossings.add(f"{modules[node.value.id]}.{node.attr}")
+    return crossings
+
+
 def test_checker_and_efhouse_import_nothing_of_each_other():
     assert "efhouse" not in imported_modules(BENCH / "checker.py")
     # the benchmark runs with bench/ on the path, so its modules import by file name
@@ -90,3 +138,27 @@ def test_only_randmodel_draws_random_numbers():
 )
 def test_numpy_random_guard_sees_each_form(source, draws):
     assert refers_to_numpy_random(source) == draws
+
+
+def test_private_names_cross_modules_only_where_listed():
+    crossings = set()
+    for path in SOURCES:
+        crossings.update((path.stem, name) for name in private_crossings(path.read_text(encoding="utf-8")))
+    assert crossings <= PRIVATE_CROSSINGS
+
+
+@pytest.mark.parametrize(
+    "source, crossings",
+    [
+        ("from .prefs import PreferenceProfile, _stacked_profiles", {"prefs._stacked_profiles"}),
+        ("from efhouse.bigraph import _violator_or_matching as find", {"bigraph._violator_or_matching"}),
+        ("from . import solver\nsolver._trace_steps(trace)", {"solver._trace_steps"}),
+        ("from efhouse import solver as s\ns._trace_steps", {"solver._trace_steps"}),
+        ("import efhouse.prefs as p\np._rank_matrix", {"prefs._rank_matrix"}),
+        ("from . import solver\nsolver.result_json, solver.__name__", set()),
+        ("from __future__ import annotations\nimport numpy as np\nnp._NoValue", set()),
+        ("from numpy import _core", set()),
+    ],
+)
+def test_private_name_guard_sees_each_form(source, crossings):
+    assert private_crossings(source) == crossings

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -77,6 +78,33 @@ def test_seeded_entry_points_share_one_seed_rule(draw):
             draw(seed)
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
         draw(-1)
+
+
+# each sized entry point, as a function of its sizes, and sizes it accepts
+SIZED = [
+    pytest.param(lambda n, m: sample_strict_profile(n, m, 1).ranks.tolist(), (3, 4), id="sample_strict_profile"),
+    pytest.param(lambda n, m: sample_utilities(n, m, 1).values.tolist(), (3, 4), id="sample_utilities"),
+    pytest.param(
+        lambda n, m, trials: estimate_existence_probability(n, m, trials, 1),
+        (3, 4, 20),
+        id="estimate_existence_probability",
+    ),
+]
+
+
+@pytest.mark.parametrize("draw, sizes", SIZED)
+def test_sized_entry_points_share_one_size_rule(draw, sizes):
+    expected = draw(*sizes)
+    for i, size in enumerate(sizes):
+        given = list(sizes)
+        given[i] = np.int64(size)  # a numpy integer sizes as the equal Python int
+        result = draw(*given)
+        assert result == expected
+        if isinstance(result, MonteCarloStats):
+            assert all(type(value) is int for value in dataclasses.astuple(result))
+        given[i] = float(size)
+        with pytest.raises(TypeError):
+            draw(*given)
 
 
 def test_negative_seed_rejected(monkeypatch):
@@ -230,7 +258,7 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
         np.array([[1, 0, 1, 0]]),
     ],
 )
-def test_other_utilities_take_the_argsort_path(values):
+def test_off_grid_utilities_rank_like_a_per_row_sort(values):
     assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == per_row_sort_ranks(values)
 
 
@@ -313,23 +341,45 @@ def test_screen_keeps_every_found_trial(n, m):
     [
         pytest.param(20, 20, 500, id="screened"),
         pytest.param(3, 3, 200, id="screened-with-found-trials"),
+        pytest.param(4, 5, 300, id="mostly-open"),
         pytest.param(20, 180, 60, id="past-the-gate"),
     ],
 )
 def test_screen_solves_only_the_trials_it_leaves_open(n, m, trials, monkeypatch):
-    calls = 0
+    calls = profiles = 0
     solve = randmodel.envy_free_assignment
+    stack = randmodel._stacked_profiles
 
     def counted(profile):
         nonlocal calls
         calls += 1
         return solve(profile)
 
+    def counted_stack(ranks):
+        nonlocal profiles
+        for profile in stack(ranks):
+            profiles += 1
+            yield profile
+
     monkeypatch.setattr(randmodel, "envy_free_assignment", counted)
+    monkeypatch.setattr(randmodel, "_stacked_profiles", counted_stack)
     stats = estimate_existence_probability(n, m, trials=trials, seed=37)
-    # at m = n an assignment is envy-free exactly when all tops differ,
-    # which is exactly when the screen leaves the trial open
-    assert calls == (stats.successes if m == n else trials)
+    # no profile is built for a trial the screen has already decided
+    assert profiles == calls == open_trials(n, m, trials, seed=37)
+    if m == n:
+        # at m = n an assignment is envy-free exactly when all tops differ,
+        # which is exactly when the screen leaves the trial open
+        assert calls == stats.successes
+
+
+def open_trials(n: int, m: int, trials: int, seed: int) -> int:
+    """How many trials have at most ``m - n`` houses that two or more agents value most."""
+    count = 0
+    for trial in range(trials):
+        values = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial]))).random((n, m))
+        claimants = Counter(values.argmax(axis=1).tolist())
+        count += sum(c > 1 for c in claimants.values()) <= m - n
+    return count
 
 
 def strict_ranks(n: int, m: int) -> np.ndarray:
