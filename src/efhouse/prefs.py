@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,7 @@ class PreferenceProfile:
     ``(n_agents, n_houses)`` int64 array (``ranks.tolist()`` gives Python
     rows), so no later write to the given object reaches the profile; the
     two counts are read off its shape. Instances are immutable, hashable and
-    safe to share across threads. `_stacked_profiles` builds simulated
-    trials' profiles without these checks and copies, under the conditions
-    its docstring states.
+    safe to share across threads.
     """
 
     ranks: np.ndarray
@@ -93,21 +90,6 @@ def _rank_matrix(ranks) -> np.ndarray:
         raise ProfileError(f"rank values must lie below {WORST_RANK}")
     array.flags.writeable = False
     return array
-
-
-def _stacked_profiles(ranks: np.ndarray) -> Iterator[PreferenceProfile]:
-    """A profile for each ``(n, m)`` matrix of the ``(k, n, m)`` int64 array ``ranks``.
-
-    ``ranks`` is marked read-only, and each profile holds a view of its
-    matrix, with none of the constructor's checks and no copy. The caller
-    must pass int64 ranks below ``WORST_RANK`` with n, m >= 1, and must not
-    write to the array ``ranks`` views while a profile is in use.
-    """
-    ranks.flags.writeable = False
-    for matrix in ranks:
-        profile = object.__new__(PreferenceProfile)
-        object.__setattr__(profile, "ranks", matrix)
-        yield profile
 
 
 def parse_profile(text: str) -> PreferenceProfile:

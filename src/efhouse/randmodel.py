@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import PreferenceProfile, _stacked_profiles
+from .prefs import PreferenceProfile
 from .solver import Assignment, envy_free_assignment, require_enough_houses
 
 
@@ -324,27 +324,29 @@ def estimate_existence_probability(
 ) -> MonteCarloStats:
     """Monte Carlo estimate of how often an envy-free assignment exists.
 
-    Each trial draws a fresh uniform utility matrix, solves the induced
-    ordinal profile, and also runs the threshold mechanism on the same
-    utilities; both success counts land in the returned stats. Fixed
+    Each trial draws a fresh uniform utility matrix and runs the threshold
+    mechanism on it. A trial the mechanism serves counts as found in both
+    counts, without a solve: each agent holds a house that only it values
+    at or above the cutoff, so every other agent values that house below
+    its own, and the run is itself an envy-free assignment. Every other
+    found verdict comes from solving the induced ordinal profile. Fixed
     (n, m, trials, seed) always reproduces the same numbers.
 
     Trials run in chunks of up to ``_CHUNK_CELLS // (n * m)``: each trial
-    draws into the chunk's buffer, while ranking and the mechanism each take
+    draws into the chunk's buffer, while the mechanism and ranking each take
     one pass over the whole chunk. When ``m - n < n // 2``, one more pass
     counts each trial's contested tops (`_contested_tops`), and a trial with
     more than ``m - n`` of them counts as having no envy-free assignment
     without a solve; at most ``n // 2`` tops can be contested, so otherwise
-    that pass could rule out no trial and is skipped. Only the trials the
-    screen leaves open become profiles, each solved on its own, so every
-    found verdict comes from the solver. Raises MemoryError when one
-    trial's utilities cannot be held.
+    that pass could rule out no trial and is skipped. Each trial that the
+    mechanism does not serve and the screen leaves open becomes a checked
+    `PreferenceProfile` and is solved on its own. Raises MemoryError when
+    one trial's utilities cannot be held.
     """
-    n, m, trials = map(operator.index, (n, m, trials))
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    if n < 1:
-        raise ValueError("need at least one agent and one house")
+    n, m = _checked_shape(n, m)
     require_enough_houses(n, m)
     seed = _checked_seed(seed)
     chunk = max(1, _CHUNK_CELLS // (n * m))
@@ -359,25 +361,26 @@ def estimate_existence_probability(
     rank = _packed_keys if m <= 1 << _INDEX_BITS else _dense_ranks
     generator = np.random.Generator(np.random.PCG64(0))
     states = _trial_states(seed, 0, trials)
-    successes = 0
-    mechanism_successes = 0
+    mechanism_successes = solved = 0
     for first in range(0, trials, chunk):
         values = buffer[: trials - first]
         for trial_values, state in zip(values, states):
             generator.bit_generator.state = state
             generator.random(out=trial_values)
+        served = _serves_everyone(_claims(values))
+        mechanism_successes += int(served.sum())
         ranks = rank(values.reshape(-1, m)).reshape(values.shape)
+        undecided = ~served
         if m - n < n // 2:  # else no trial can have more than m - n contested tops
-            ranks = ranks[_contested_tops(ranks) <= m - n]
-        for profile in _stacked_profiles(ranks):
-            found, _ = envy_free_assignment(profile)
-            successes += found is not None
-        mechanism_successes += int(_serves_everyone(_claims(values)).sum())
+            undecided &= _contested_tops(ranks) <= m - n
+        for matrix in ranks[undecided]:
+            found, _ = envy_free_assignment(PreferenceProfile(matrix))
+            solved += found is not None
     return MonteCarloStats(
         n_agents=n,
         n_houses=m,
         trials=trials,
-        successes=successes,
+        successes=mechanism_successes + solved,
         mechanism_successes=mechanism_successes,
         seed=seed,
     )

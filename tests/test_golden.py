@@ -63,6 +63,10 @@ SIMULATE = [
     # keys; m = 544 is about e * n, the existence threshold in the literature
     ["simulate", "--n", "200", "--m", "544", "--trials", "20", "--seed", "0"],
     ["simulate", "--n", "62", "--m", "3nlogn", "--trials", "40", "--seed", "0"],
+    # one agent: the mechanism serves every trial
+    ["simulate", "--n", "1", "--m", "4", "--trials", "30", "--seed", "5"],
+    # from inside the screen's region to where the mechanism serves most trials
+    ["simulate", "--n", "8", "--sweep", "8:64:8", "--trials", "100", "--seed", "3"],
 ]
 
 

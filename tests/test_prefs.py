@@ -9,7 +9,6 @@ from efhouse.prefs import (
     PreferenceProfile,
     ProfileError,
     _parse_lines,
-    _stacked_profiles,
     format_profile,
     parse_profile,
 )
@@ -230,17 +229,6 @@ def test_profile_owns_its_ranks(given):
     assert not np.shares_memory(profile.ranks, given)
     assert profile.ranks.tolist() == [[1, 2], [2, 1]]
     assert (profile.n_agents, profile.n_houses) == (2, 2)
-
-
-def test_stacked_profiles_view_each_matrix_read_only():
-    stack = np.array([[[1, 2, 3], [3, 1, 2]], [[2, 2, 1], [1, 3, 2]]])
-    profiles = list(_stacked_profiles(stack))
-    assert not stack.flags.writeable
-    assert profiles == [PreferenceProfile(matrix) for matrix in stack]
-    for profile, matrix in zip(profiles, stack):
-        assert (profile.n_agents, profile.n_houses) == (2, 3)
-        assert profile.ranks.base is stack and not profile.ranks.flags.writeable
-        assert np.array_equal(profile.ranks, matrix)
 
 
 def test_profile_equality_compares_shape_and_values():

@@ -262,12 +262,16 @@ def test_off_grid_utilities_rank_like_a_per_row_sort(values):
     assert utilities_to_profile(UtilityMatrix(values)).ranks.tolist() == per_row_sort_ranks(values)
 
 
+def trial_values(n: int, m: int, seed: int, trial: int) -> np.ndarray:
+    """The utilities `estimate_existence_probability` draws for one trial."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial]))).random((n, m))
+
+
 def argsort_existence_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, int]:
     """Reference for `estimate_existence_probability`: ranks from the stable argsort."""
     successes = mechanism_successes = 0
     for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
-        values = rng.random((n, m))
+        values = trial_values(n, m, seed, trial)
         orders = np.argsort(-values, axis=1, kind="stable")
         ranks = np.empty((n, m), dtype=np.int64)
         np.put_along_axis(ranks, orders, np.arange(1, m + 1), axis=1)
@@ -348,38 +352,56 @@ def test_screen_keeps_every_found_trial(n, m):
 def test_screen_solves_only_the_trials_it_leaves_open(n, m, trials, monkeypatch):
     calls = profiles = 0
     solve = randmodel.envy_free_assignment
-    stack = randmodel._stacked_profiles
+    build = randmodel.PreferenceProfile
 
     def counted(profile):
         nonlocal calls
         calls += 1
         return solve(profile)
 
-    def counted_stack(ranks):
+    def counted_build(ranks):
         nonlocal profiles
-        for profile in stack(ranks):
-            profiles += 1
-            yield profile
+        profiles += 1
+        return build(ranks)
 
     monkeypatch.setattr(randmodel, "envy_free_assignment", counted)
-    monkeypatch.setattr(randmodel, "_stacked_profiles", counted_stack)
+    monkeypatch.setattr(randmodel, "PreferenceProfile", counted_build)
     stats = estimate_existence_probability(n, m, trials=trials, seed=37)
-    # no profile is built for a trial the screen has already decided
+    # no profile is built for a trial the mechanism or the screen has already decided
     assert profiles == calls == open_trials(n, m, trials, seed=37)
     if m == n:
         # at m = n an assignment is envy-free exactly when all tops differ,
-        # which is exactly when the screen leaves the trial open
-        assert calls == stats.successes
+        # which is exactly when the screen leaves the trial open: every
+        # solve finds one, and the served trials make up the other successes
+        assert calls == stats.successes - stats.mechanism_successes
 
 
 def open_trials(n: int, m: int, trials: int, seed: int) -> int:
-    """How many trials have at most ``m - n`` houses that two or more agents value most."""
+    """How many trials the mechanism does not serve and that have at most ``m - n`` contested tops."""
     count = 0
     for trial in range(trials):
-        values = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial]))).random((n, m))
+        values = trial_values(n, m, seed, trial)
         claimants = Counter(values.argmax(axis=1).tolist())
-        count += sum(c > 1 for c in claimants.values()) <= m - n
+        screened = sum(c > 1 for c in claimants.values()) > m - n
+        count += not screened and greedy_threshold_mechanism(values) is None
     return count
+
+
+# a served trial counts as found without a solve: the solver must find one
+# too, and the mechanism's own assignment must be envy-free
+@pytest.mark.parametrize("n, m, trials", [(1, 4, 30), (4, 5, 1_000), (10, 27, 1_000), (20, 180, 100)])
+def test_served_trials_have_envy_free_assignments(n, m, trials):
+    served = 0
+    for trial in range(trials):
+        utilities = UtilityMatrix(trial_values(n, m, 41, trial))
+        assignment = threshold_mechanism(utilities)
+        if assignment is None:
+            continue
+        served += 1
+        profile = utilities_to_profile(utilities)
+        assert envy_free_assignment(profile)[0] is not None, trial
+        assert verify_envy_free(profile, assignment), trial
+    assert served == estimate_existence_probability(n, m, trials, seed=41).mechanism_successes > 0
 
 
 def strict_ranks(n: int, m: int) -> np.ndarray:
