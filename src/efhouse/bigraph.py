@@ -10,6 +10,8 @@ is a plain dict from each matched left vertex to its right partner.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -19,17 +21,20 @@ class BipartiteGraph:
     """Bipartite graph on left vertices 1..n_left and right vertices 1..n_right.
 
     ``adj[x - 1]`` holds the right-side neighbors of left vertex ``x`` as a
-    sorted, duplicate-free tuple, so ``n_left`` is ``len(adj)``. Immutable
-    once built; the constructor checks every row.
+    sorted, duplicate-free tuple of integer ids (numpy integers too, bools
+    not), so ``n_left`` is ``len(adj)``. The constructor checks every row.
     """
 
     n_right: int
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_right", operator.index(self.n_right))
         if self.n_right < 0:
             raise ValueError("right vertex count must be nonnegative")
         for row in self.adj:
+            if not all(isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in row):
+                raise ValueError(f"right vertices must be integers, got {row}")
             if list(row) != sorted(set(row)):
                 raise ValueError("adjacency rows must be sorted and duplicate-free")
             # a sorted row is in range when its two ends are

@@ -15,6 +15,8 @@ Trial t's generator is ``PCG64(SeedSequence([seed, t]))``, but
 `estimate_existence_probability` builds no SeedSequence: `_pcg64_states`
 runs numpy's exact seeding algorithm as uint32 array operations across a
 block of trial indices. A tier-1 test compares its states with numpy's.
+Every draw is a multiple of 2**-53, so the trials the estimator solves
+rank by the exact steps of their draws (`_step_ranks`) at any house count.
 """
 
 from __future__ import annotations
@@ -227,26 +229,22 @@ def _dense_ranks(values: np.ndarray) -> np.ndarray:
     return _ranks_from_orders(np.argsort(-floats, axis=1, kind="stable"))
 
 
-# `Generator.random` returns multiples of 2**-53, so a utility u on that grid
-# is the exact step u * 2**53 in 0..2**53; those 54 bits leave 9 of an int64
-# key's 63 value bits for a house index below them
-_INDEX_BITS = 9
+def _step_ranks(values: np.ndarray) -> np.ndarray:
+    """Rank keys for each row of ``values`` along its last axis, in `_dense_ranks`' order.
 
-
-def _packed_keys(values: np.ndarray) -> np.ndarray:
-    """Rank keys for each row of ``values`` along its last axis.
-
-    Needs rows of at most ``2**_INDEX_BITS`` values, each a multiple of
-    2**-53 in [0, 1]. Each key holds ``2**53 - u * 2**53`` above the house
-    index, so the keys of a row are distinct, and ascending keys run by
-    decreasing utility and, within a tie, by increasing index: the order of
-    `_dense_ranks`.
+    Needs values on the 2**-53 grid in [0, 1], as `Generator.random` draws
+    are. A tie-free row keys by the exact steps ``-u * 2**53`` (-2**53..0)
+    of its values u; a row that repeats a value in float32, as every row
+    with a tie does, takes `_dense_ranks` (1..m).
     """
-    m = values.shape[-1]
-    shift = 53 + (m - 1).bit_length()
-    keys = (values * -2.0**shift).astype(np.int64)  # exact: a power-of-two scale
-    keys += np.arange(m) + (1 << shift)
-    return keys
+    rows = values.reshape(-1, values.shape[-1])
+    keys = (rows * -2.0**53).astype(np.int64)  # exact: a power-of-two scale
+    floats = np.sort(rows.astype(np.float32))
+    repeats = floats[:, 1:] == floats[:, :-1]
+    if repeats.any():
+        tied = repeats.any(axis=1)
+        keys[tied] = _dense_ranks(rows[tied])
+    return keys.reshape(values.shape)
 
 
 def _ranks_from_orders(orders: np.ndarray) -> np.ndarray:
@@ -297,25 +295,22 @@ def _serves_everyone(claims: np.ndarray) -> np.ndarray:
     return claims.any(axis=-1).all(axis=-1)
 
 
-def _contested_tops(ranks: np.ndarray) -> np.ndarray:
-    """How many houses two or more agents rank first, in each ``(n, m)`` matrix of ``ranks``.
+def _contested_tops(values: np.ndarray) -> np.ndarray:
+    """How many houses two or more agents like best, in each ``(n, m)`` matrix of ``values``.
 
-    Needs distinct ranks within each row, so that each agent's top is the
-    one house of its lowest rank. A contested top is in no envy-free
-    assignment: if one of its claimants gets it, another envies that agent,
-    and if anyone else gets it, all of them do. So an envy-free assignment
-    leaves ``m - n`` houses unused, and a trial with more contested tops
-    than that has none.
+    Each agent's top is its house of highest utility, ties toward the lower
+    id: the house `_dense_ranks` and `_step_ranks` rank first. A contested
+    top is in no envy-free assignment: if one of its claimants gets it,
+    another envies that agent, and if anyone else gets it, all of them do.
+    So an envy-free assignment leaves ``m - n`` houses unused, and a trial
+    with more contested tops than that has none.
     """
-    # only reductions and compares the solver and the mechanism already run:
-    # `argmin` with a per-trial `bincount` is ~1 us per (20, 20) trial faster
-    # but maps one more 64 KB page of numpy's library, which peak RSS counts
-    tops = ranks == ranks.min(axis=2, keepdims=True)
-    return (tops.sum(axis=1) > 1).sum(axis=1)
+    tops = values.argmax(axis=-1)[..., None] == np.arange(values.shape[-1])
+    return (tops.sum(axis=-2) > 1).sum(axis=-1)
 
 
 # bounds the cells of one chunk of trials: its utility buffer and the
-# temporaries ranked and claimed from it
+# temporaries screened, claimed and ranked from it
 _CHUNK_CELLS = 1 << 14
 
 
@@ -333,15 +328,16 @@ def estimate_existence_probability(
     (n, m, trials, seed) always reproduces the same numbers.
 
     Trials run in chunks of up to ``_CHUNK_CELLS // (n * m)``: each trial
-    draws into the chunk's buffer, while the mechanism and ranking each take
-    one pass over the whole chunk. When ``m - n < n // 2``, one more pass
-    counts each trial's contested tops (`_contested_tops`), and a trial with
-    more than ``m - n`` of them counts as having no envy-free assignment
-    without a solve; at most ``n // 2`` tops can be contested, so otherwise
-    that pass could rule out no trial and is skipped. Each trial that the
-    mechanism does not serve and the screen leaves open becomes a checked
-    `PreferenceProfile` and is solved on its own. Raises MemoryError when
-    one trial's utilities cannot be held.
+    draws into the chunk's buffer, and the mechanism takes one pass over the
+    whole chunk. When ``m - n < n // 2``, one more pass counts each trial's
+    contested tops (`_contested_tops`), and a trial with more than ``m - n``
+    of them counts as having no envy-free assignment without a solve; at
+    most ``n // 2`` tops can be contested, so otherwise that pass could rule
+    out no trial and is skipped. Only the trials that the mechanism does not
+    serve and the screen leaves open are ranked, by the exact steps of their
+    draws (`_step_ranks`), and each becomes a checked `PreferenceProfile`
+    solved on its own. Raises MemoryError when one trial's utilities cannot
+    be held.
     """
     trials = operator.index(trials)
     if trials < 1:
@@ -354,11 +350,6 @@ def estimate_existence_probability(
         buffer = np.empty((min(chunk, trials), n, m))
     except ValueError:  # the shape outgrows numpy's size arithmetic
         raise MemoryError(f"cannot hold the utilities of {n} agents and {m} houses") from None
-    # the buffer holds only `Generator.random` draws: multiples of 2**-53 in
-    # [0, 1), so rows up to 2**_INDEX_BITS houses pack into keys (at most
-    # 2**62 + 511, below `WORST_RANK`) that order each trial's houses as dense
-    # ranks would, and the solver reads nothing but that order
-    rank = _packed_keys if m <= 1 << _INDEX_BITS else _dense_ranks
     generator = np.random.Generator(np.random.PCG64(0))
     states = _trial_states(seed, 0, trials)
     mechanism_successes = solved = 0
@@ -369,11 +360,10 @@ def estimate_existence_probability(
             generator.random(out=trial_values)
         served = _serves_everyone(_claims(values))
         mechanism_successes += int(served.sum())
-        ranks = rank(values.reshape(-1, m)).reshape(values.shape)
         undecided = ~served
         if m - n < n // 2:  # else no trial can have more than m - n contested tops
-            undecided &= _contested_tops(ranks) <= m - n
-        for matrix in ranks[undecided]:
+            undecided &= _contested_tops(values) <= m - n
+        for matrix in _step_ranks(values[undecided]):
             found, _ = envy_free_assignment(PreferenceProfile(matrix))
             solved += found is not None
     return MonteCarloStats(

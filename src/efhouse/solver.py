@@ -220,6 +220,8 @@ def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool
         raise ValueError(
             f"assignment covers {len(assignment.houses)} agents, profile has {profile.n_agents}"
         )
+    if not all(type(h) is int or isinstance(h, np.integer) for h in assignment.houses):
+        raise ValueError(f"house ids must be integers, got {assignment.houses}")
     if any(h > profile.n_houses for h in assignment.houses):
         raise ValueError("assignment uses a house outside the profile")
     return envy_free_houses(profile.ranks.tolist(), assignment.houses)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -66,6 +67,20 @@ def test_graph_validates_adjacency():
     graph = BipartiteGraph(2, ((), (1, 2)))
     assert graph.adj == ((), (1, 2)) and graph.n_left == 2
     assert BipartiteGraph(0, ()).n_left == 0
+
+
+@pytest.mark.parametrize("vertex", [1.5, 1.0, True, np.True_, "1"])
+def test_graph_rejects_right_vertices_that_are_not_integers(vertex):
+    with pytest.raises(ValueError, match="^right vertices must be integers"):
+        BipartiteGraph(3, ((vertex,),))
+
+
+def test_graph_takes_numpy_integers_as_the_equal_ints():
+    graph = BipartiteGraph(np.int64(3), ((np.int64(1), 2),))
+    assert graph.n_right == 3 and type(graph.n_right) is int
+    assert maximum_matching(graph) == {1: 1}
+    with pytest.raises(TypeError):
+        BipartiteGraph(3.0, ((1,),))
 
 
 @pytest.mark.parametrize("vertices, joint", [({1, 2}, {1, 2}), ({1, 2, 3}, {1})])

@@ -59,14 +59,15 @@ SIMULATE = [
     ["simulate", "--n", "20", "--m", "3nlogn", "--trials", "200", "--seed", "18446744073709551619"],
     # inside the contested-tops screen's region (m - n < n // 2), with found trials
     ["simulate", "--n", "4", "--m", "5", "--trials", "200", "--seed", "0"],
-    # above 512 houses, where trials rank by `_dense_ranks` rather than packed
-    # keys; m = 544 is about e * n, the existence threshold in the literature
+    # m = 544 is about e * n, the existence threshold in the literature
     ["simulate", "--n", "200", "--m", "544", "--trials", "20", "--seed", "0"],
     ["simulate", "--n", "62", "--m", "3nlogn", "--trials", "40", "--seed", "0"],
     # one agent: the mechanism serves every trial
     ["simulate", "--n", "1", "--m", "4", "--trials", "30", "--seed", "5"],
     # from inside the screen's region to where the mechanism serves most trials
     ["simulate", "--n", "8", "--sweep", "8:64:8", "--trials", "100", "--seed", "3"],
+    # a sweep across 512 houses near e * n
+    ["simulate", "--n", "190", "--sweep", "496:528:16", "--trials", "20", "--seed", "2"],
 ]
 
 

@@ -154,7 +154,7 @@ def test_trial_generators_take_numpy_seeding_states(seed, first, stop, block, mo
 def test_trial_draws_pack_into_keys_below_the_solver_sentinel():
     # simulate checks none of this: numpy documents `Generator.random` to lie
     # in [0, 1), and its draws are multiples of 2**-53, the grid
-    # `_packed_keys` needs (off it, keys could collide or misorder)
+    # `_step_ranks` needs (off it, keys could collide or misorder)
     generator = np.random.Generator(np.random.PCG64(0))
     for seed in (0, 2**32, 10**30):
         for trials, n, m in ((200, 20, 20), (50, 20, 180)):  # sim-eq, sim-log
@@ -166,10 +166,18 @@ def test_trial_draws_pack_into_keys_below_the_solver_sentinel():
             assert values.min() >= 0.0 and values.max() < 1.0
             scaled = values * 2.0**53
             assert (scaled == np.floor(scaled)).all()
-    # so the keys of the widest packed rows stay below the solver's mask rank
-    for utility in (0.0, 1.0 - 2.0**-53):
-        keys = randmodel._packed_keys(np.full((2, PACKING_BOUND), utility))
-        assert keys.max() <= 2**62 + 511 < WORST_RANK
+    # so a tie-free row keys by its exact steps, in -2**53..0, a tied row by
+    # dense ranks 1..m, and every key lies below the solver's mask rank
+    m = 600
+    steps = np.arange(m, dtype=np.int64) << 43  # k / 1024 is the step k * 2**43
+    tie_free = np.stack([steps, 2**53 - steps]) * 2.0**-53
+    tied = np.stack([np.zeros(m), np.full(m, 0.75), np.arange(m) // 2 / 1024])
+    repeats_in_float32 = 1.0 - np.arange(m) * 2.0**-53  # distinct, but not in float32
+    keys = randmodel._step_ranks(np.vstack([tie_free, tied, repeats_in_float32]))
+    assert (keys[:2] == np.stack([-steps, steps - 2**53])).all()
+    assert keys[:2].min() == -(2**53) and keys[:2].max() == 0
+    assert (np.sort(keys[2:]) == np.arange(1, m + 1)).all()
+    assert keys.max() < WORST_RANK
 
 
 def test_strict_rankings_are_uniform():
@@ -218,26 +226,23 @@ def per_row_sort_ranks(values: np.ndarray) -> list[list[int]]:
     return expected
 
 
-PACKING_BOUND = 512  # the widest rows whose keys fit: 54 utility bits + 9 index bits
-
-
 def on_grid_cases():
-    # every value here is a multiple of 2**-53, the grid `_packed_keys` needs
+    # every value here is a multiple of 2**-53, the grid `_step_ranks` needs
     rng = np.random.default_rng(21)
     yield pytest.param(rng.integers(0, 9, size=(7, 13)) / 8, id="eighths")  # many ties per row
     signed = [[0.0, -0.0, 1.0, 0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 1.0, -0.0, 1.0]]
     yield pytest.param(np.array(signed), id="signed-zeros")
     yield pytest.param(rng.integers(0, 5, size=(1, 9)) / 4, id="one-agent")
     yield pytest.param(np.array([[0.25], [1.0], [0.0]]), id="one-house")
-    # neighbouring grid steps, so an index that spilled into the utility bits
-    # or a utility step lost below them would misorder
+    # neighbouring grid steps, so a utility step lost in the keys would
+    # misorder them
     for m in (2, 40):
         steps = rng.integers(2**52, 2**52 + 4, size=(5, m))
         yield pytest.param(steps * 2.0**-53, id=f"adjacent-steps-{m}")
-    yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND)) / 64, id="at-bound")
-    yield pytest.param(rng.integers(0, 65, size=(3, PACKING_BOUND + 1)) / 64, id="above-bound")
+    yield pytest.param(rng.integers(0, 65, size=(3, 512)) / 64, id="512-houses")
+    yield pytest.param(rng.integers(0, 65, size=(3, 513)) / 64, id="513-houses")
     yield pytest.param(sample_utilities(6, 40, seed=5).values, id="drawn")
-    yield pytest.param(sample_utilities(4, PACKING_BOUND, seed=6).values, id="drawn-at-bound")
+    yield pytest.param(sample_utilities(4, 512, seed=6).values, id="drawn-512-houses")
 
 
 @pytest.mark.parametrize("values", on_grid_cases())
@@ -245,9 +250,9 @@ def test_on_grid_utilities_rank_like_a_per_row_sort(values):
     profile = utilities_to_profile(UtilityMatrix(values))
     assert profile.ranks.tolist() == per_row_sort_ranks(values)
     assert profile.ranks.dtype == np.int64 and not profile.ranks.flags.writeable
-    if values.shape[1] <= PACKING_BOUND:
-        key_order = np.argsort(randmodel._packed_keys(values), axis=1)
-        assert (key_order.argsort(axis=1) + 1).tolist() == per_row_sort_ranks(values)
+    # ties kept as ties: keys that tie where the values do would show here
+    keys = randmodel._step_ranks(values)
+    assert scipy_stats.rankdata(keys, method="min", axis=1).tolist() == per_row_sort_ranks(values)
 
 
 @pytest.mark.parametrize(
@@ -312,8 +317,8 @@ def test_estimate_matches_argsort_ranking_at_chunk_boundaries(n, m, past_chunk):
     [
         pytest.param(1, 5, 60, id="one-agent"),
         pytest.param(1, 1, 3, id="one-agent-one-house"),
-        pytest.param(3, PACKING_BOUND, 11, id="packed-at-bound"),  # two chunks of 10
-        pytest.param(3, PACKING_BOUND + 1, 11, id="argsort-above-bound"),
+        pytest.param(3, 512, 11, id="512-houses"),  # two chunks of 10
+        pytest.param(3, 513, 11, id="513-houses"),
     ],
 )
 def test_estimate_matches_argsort_ranking_on_small_and_wide_rows(n, m, trials):
@@ -350,9 +355,10 @@ def test_screen_keeps_every_found_trial(n, m):
     ],
 )
 def test_screen_solves_only_the_trials_it_leaves_open(n, m, trials, monkeypatch):
-    calls = profiles = 0
+    calls = profiles = ranked_rows = 0
     solve = randmodel.envy_free_assignment
     build = randmodel.PreferenceProfile
+    rank = randmodel._step_ranks
 
     def counted(profile):
         nonlocal calls
@@ -364,11 +370,18 @@ def test_screen_solves_only_the_trials_it_leaves_open(n, m, trials, monkeypatch)
         profiles += 1
         return build(ranks)
 
+    def counted_rank(values):
+        nonlocal ranked_rows
+        ranked_rows += values.size // m
+        return rank(values)
+
     monkeypatch.setattr(randmodel, "envy_free_assignment", counted)
     monkeypatch.setattr(randmodel, "PreferenceProfile", counted_build)
+    monkeypatch.setattr(randmodel, "_step_ranks", counted_rank)
     stats = estimate_existence_probability(n, m, trials=trials, seed=37)
-    # no profile is built for a trial the mechanism or the screen has already decided
+    # no trial the mechanism or the screen has already decided is ranked or built
     assert profiles == calls == open_trials(n, m, trials, seed=37)
+    assert ranked_rows == n * profiles
     if m == n:
         # at m = n an assignment is envy-free exactly when all tops differ,
         # which is exactly when the screen leaves the trial open: every
@@ -413,7 +426,7 @@ def strict_ranks(n: int, m: int) -> np.ndarray:
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
 def test_screened_out_profiles_have_no_envy_free_assignment(n, m):
     ranks = strict_ranks(n, m)
-    contested = randmodel._contested_tops(ranks)
+    contested = randmodel._contested_tops(-ranks)  # utilities that order houses as the ranks do
     for matrix, count in zip(ranks, contested.tolist()):
         found, _ = envy_free_assignment(PreferenceProfile(matrix))
         # the screen's none is the solver's, and at m = n conversely too
@@ -508,8 +521,8 @@ def test_sweep_rows_match_single_house_count_runs(capsys):
 
 
 def key_ranked_profile(values: np.ndarray) -> PreferenceProfile:
-    """The profile `estimate_existence_probability` solves: packed keys as ranks."""
-    return PreferenceProfile(randmodel._packed_keys(values))
+    """The profile `estimate_existence_probability` solves: step keys as ranks."""
+    return PreferenceProfile(randmodel._step_ranks(values))
 
 
 @pytest.mark.parametrize("n, m", [(20, 20), (20, 180)])  # mostly none, then all found

@@ -86,6 +86,16 @@ def test_verify_envy_free_validates_shape():
         verify_envy_free(GOLDEN, Assignment((2, 9)))
 
 
+@pytest.mark.parametrize("house", [1.5, 3.0, True, np.True_])
+def test_verify_envy_free_rejects_house_ids_that_are_not_integers(house):
+    with pytest.raises(ValueError, match="^house ids must be integers"):
+        verify_envy_free(GOLDEN, Assignment((house, 2)))
+
+
+def test_verify_envy_free_takes_numpy_integer_house_ids():
+    assert verify_envy_free(GOLDEN, Assignment((np.int64(2), 3)))
+
+
 def test_assignment_rejects_duplicates():
     with pytest.raises(ValueError):
         Assignment((1, 1))
