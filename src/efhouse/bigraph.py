@@ -10,10 +10,11 @@ is a plain dict from each matched left vertex to its right partner.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+
+from .prefs import integer_ids, is_integer
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,11 @@ class BipartiteGraph:
     """Bipartite graph on left vertices 1..n_left and right vertices 1..n_right.
 
     ``adj[x - 1]`` holds the right-side neighbors of left vertex ``x`` as a
-    sorted, duplicate-free tuple of integer ids (numpy integers too, bools
-    not), so ``n_left`` is ``len(adj)``. The constructor checks every row.
+    sorted, duplicate-free tuple of ints, so ``n_left`` is ``len(adj)``.
+    ``adj`` may be given as any iterable of rows, each an iterable of
+    integer ids (`prefs.is_integer`); the graph stores a tuple of tuples of
+    Python ints, and ``n_right`` through ``operator.index``. The constructor
+    checks every row.
     """
 
     n_right: int
@@ -32,9 +36,10 @@ class BipartiteGraph:
         object.__setattr__(self, "n_right", operator.index(self.n_right))
         if self.n_right < 0:
             raise ValueError("right vertex count must be nonnegative")
+        object.__setattr__(
+            self, "adj", tuple(integer_ids(row, tuple, "right vertices") for row in self.adj)
+        )
         for row in self.adj:
-            if not all(isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in row):
-                raise ValueError(f"right vertices must be integers, got {row}")
             if list(row) != sorted(set(row)):
                 raise ValueError("adjacency rows must be sorted and duplicate-free")
             # a sorted row is in range when its two ends are
@@ -51,13 +56,21 @@ class HallViolator:
     """Left vertex set with fewer joint neighbors than members.
 
     Instances are minimal: the vertex count exceeds the neighborhood size by
-    exactly one, and no proper subset is itself deficient.
+    exactly one, and no proper subset is itself deficient. Either set may be
+    given as any iterable of integer ids (`prefs.is_integer`); each is
+    stored as a frozenset of Python ints.
     """
 
     vertices: frozenset[int]
     neighborhood: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "vertices", integer_ids(self.vertices, frozenset, "violator vertices")
+        )
+        object.__setattr__(
+            self, "neighborhood", integer_ids(self.neighborhood, frozenset, "violator neighbors")
+        )
         if len(self.vertices) != len(self.neighborhood) + 1:
             raise ValueError(
                 "violator must have exactly one more vertex than its neighborhood"
@@ -65,9 +78,11 @@ class HallViolator:
 
 
 def neighborhood(graph: BipartiteGraph, subset: Iterable[int]) -> set[int]:
-    """Union of right-side neighbors over the given left vertices."""
+    """Union of right-side neighbors over the given left vertices, each an integer id."""
     result: set[int] = set()
     for x in subset:
+        if not is_integer(x):
+            raise ValueError(f"left vertices must be integers, got {x!r}")
         if not 1 <= x <= graph.n_left:
             raise ValueError(f"left vertex {x} out of range 1..{graph.n_left}")
         result.update(graph.adj[x - 1])

@@ -63,6 +63,33 @@ class PreferenceProfile:
         return hash((self.ranks.shape, self.ranks.tobytes()))
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool.
+
+    The one rule for integer ids and ranks: int subclasses such as
+    ``IntEnum`` members count, ``bool`` and ``np.bool_`` do not.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_INT = frozenset({int})  # the one type of an id in canonical form
+
+
+def integer_ids(values, form: type, what: str):
+    """``values`` as a ``form`` (``tuple`` or ``frozenset``) of plain ints.
+
+    Every value must pass `is_integer`, or ValueError names ``what``; each
+    is stored as the equal Python int. A ``form`` of plain ints is returned
+    as it is.
+    """
+    if type(values) is form and _INT.issuperset(map(type, values)):
+        return values
+    values = tuple(values)  # checked before a set can merge True into 1
+    if not all(map(is_integer, values)):
+        raise ValueError(f"{what} must be integers, got {values}")
+    return form(map(int, values))
+
+
 def _rank_matrix(ranks) -> np.ndarray:
     """A checked, read-only int64 copy of ``ranks``."""
     try:
@@ -73,9 +100,7 @@ def _rank_matrix(ranks) -> np.ndarray:
         raise ProfileError("profile needs at least one agent and one house")
     if array.ndim != 2:
         raise ProfileError(f"ranks must form a 2-d matrix, got shape {array.shape}")
-    # numpy integers count as integers here, but bools (np.bool_ is no
-    # np.integer) do not
-    if array.dtype.kind == "O" and all(type(v) is int or isinstance(v, np.integer) for v in array.flat):
+    if array.dtype.kind == "O" and all(map(is_integer, array.flat)):
         low = int(np.iinfo(np.int64).min)
         wide = next((v for v in array.flat if not low <= int(v) <= WORST_RANK), None)
         if wide is not None:

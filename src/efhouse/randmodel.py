@@ -296,17 +296,19 @@ def _serves_everyone(claims: np.ndarray) -> np.ndarray:
 
 
 def _contested_tops(values: np.ndarray) -> np.ndarray:
-    """How many houses two or more agents like best, in each ``(n, m)`` matrix of ``values``.
+    """How many houses two or more agents like best, per matrix of a ``(k, n, m)`` stack.
 
     Each agent's top is its house of highest utility, ties toward the lower
     id: the house `_dense_ranks` and `_step_ranks` rank first. A contested
     top is in no envy-free assignment: if one of its claimants gets it,
     another envies that agent, and if anyone else gets it, all of them do.
     So an envy-free assignment leaves ``m - n`` houses unused, and a trial
-    with more contested tops than that has none.
+    with more contested tops than that has none. Matrix t's agents count
+    their tops in bins ``t * m`` to ``t * m + m - 1`` of one `np.bincount`.
     """
-    tops = values.argmax(axis=-1)[..., None] == np.arange(values.shape[-1])
-    return (tops.sum(axis=-2) > 1).sum(axis=-1)
+    k, _, m = values.shape
+    tops = values.argmax(axis=-1) + m * np.arange(k)[:, None]
+    return (np.bincount(tops.ravel(), minlength=k * m).reshape(k, m) > 1).sum(axis=-1)
 
 
 # bounds the cells of one chunk of trials: its utility buffer and the

@@ -11,6 +11,7 @@ houses) or fewer houses than agents (a proof of nonexistence).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .bigraph import HallViolator, _violator_or_matching
-from .prefs import WORST_RANK, PreferenceProfile
+from .prefs import WORST_RANK, PreferenceProfile, integer_ids
 
 
 class InvalidInstanceError(ValueError):
@@ -35,11 +36,17 @@ def require_enough_houses(n: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Total injective map from agents to houses; ``houses[i]`` serves agent ``i + 1``."""
+    """Total injective map from agents to houses; ``houses[i]`` serves agent ``i + 1``.
+
+    ``houses`` may be given as any iterable of integer ids
+    (`prefs.is_integer`); the assignment stores them as a tuple of Python
+    ints, each at least 1 and none twice.
+    """
 
     houses: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "houses", integer_ids(self.houses, tuple, "house ids"))
         if not self.houses:
             raise ValueError("assignment must cover at least one agent")
         if min(self.houses) < 1:
@@ -72,11 +79,17 @@ class SolveTrace:
     ``violators`` holds, in order, the violator of each pass that removed
     its neighborhood; a found trace ends with one more, saturating pass.
     `passes` derives each pass's houses from ``n_houses`` and the removals.
+    ``violators`` may be given as any iterable and is stored as a tuple;
+    ``n_houses`` goes through ``operator.index``, so it is a Python int.
     """
 
     n_houses: int
     violators: tuple[HallViolator, ...]
     assignment: Assignment | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_houses", operator.index(self.n_houses))
+        object.__setattr__(self, "violators", tuple(self.violators))
 
     def passes(self) -> Iterator[IterationRecord]:
         """Each pass as an `IterationRecord`, its houses in a fresh list.
@@ -123,7 +136,7 @@ def envy_free_assignment(
         else:
             # a saturating matching maps every agent to a house
             assignment = Assignment(tuple(found[agent] for agent in range(1, profile.n_agents + 1)))
-    return assignment, SolveTrace(profile.n_houses, tuple(violators), assignment)
+    return assignment, SolveTrace(profile.n_houses, violators, assignment)
 
 
 def solve_passes(
@@ -215,13 +228,16 @@ def _favorites(
 
 
 def verify_envy_free(profile: PreferenceProfile, assignment: Assignment) -> bool:
-    """True when no agent strictly prefers another agent's house to her own."""
+    """True when no agent strictly prefers another agent's house to its own.
+
+    Raises ValueError when the assignment serves a different number of
+    agents than the profile has, or uses a house the profile lacks. Its
+    house ids need no check here: `Assignment` stores only ints.
+    """
     if len(assignment.houses) != profile.n_agents:
         raise ValueError(
             f"assignment covers {len(assignment.houses)} agents, profile has {profile.n_agents}"
         )
-    if not all(type(h) is int or isinstance(h, np.integer) for h in assignment.houses):
-        raise ValueError(f"house ids must be integers, got {assignment.houses}")
     if any(h > profile.n_houses for h in assignment.houses):
         raise ValueError("assignment uses a house outside the profile")
     return envy_free_houses(profile.ranks.tolist(), assignment.houses)

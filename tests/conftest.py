@@ -58,14 +58,15 @@ def solve_json(profile: PreferenceProfile) -> str:
     return json.dumps(result_json(trace, include_trace=True))
 
 
-def efhouse_command(*argv):
-    """``python -m efhouse`` with this test's efhouse importable, and its environment.
+def efhouse_command(*argv, module: str = "efhouse"):
+    """``python -m <module>`` with this test's efhouse importable, and its environment.
 
-    The command imports the efhouse the tests imported, whether installed or not.
+    ``module`` is either entry point, ``efhouse`` or ``efhouse.cli``. The
+    command imports the efhouse the tests imported, whether installed or not.
     """
     package_root = str(Path(efhouse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "efhouse", *argv], {**os.environ, "PYTHONPATH": path}
+    return [sys.executable, "-m", module, *argv], {**os.environ, "PYTHONPATH": path}
 
 
 def graph_from_edges(n_left: int, n_right: int, edges) -> BipartiteGraph:

@@ -47,8 +47,10 @@ def test_neighborhood_complete_k23():
 
 def test_neighborhood_rejects_unknown_vertex():
     g = graph(2, 1, [(1, 1)])
-    with pytest.raises(ValueError):
-        neighborhood(g, {3})
+    for subset in ({3}, [True], [1.0]):
+        with pytest.raises(ValueError):
+            neighborhood(g, subset)
+    assert neighborhood(g, [np.int64(1)]) == {1}
 
 
 def test_graph_validates_adjacency():

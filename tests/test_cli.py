@@ -437,3 +437,12 @@ def test_stdout_without_a_reader_exits_141(golden_file):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_both_entry_points_print_the_same_solve(golden_file):
+    runs = []
+    for module in ("efhouse", "efhouse.cli"):
+        argv, env = efhouse_command("solve", golden_file, "--format", "text", "--trace", module=module)
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        runs.append((proc.returncode, proc.stdout.decode(), proc.stderr))
+    assert runs == [(0, SOLVE_STDOUT["found", "text", True], b"")] * 2

@@ -10,6 +10,10 @@ Every published number must be reproducible from the seed alone, so only
 seeds, and no module may import `random` or `secrets`. A solver tie-break
 that drew unseeded randomness would fail here.
 
+Integer ids and ranks follow one rule, `prefs.is_integer`, so it is the
+only function that may test a value against `numpy.integer` or
+`numbers.Integral`; a second test of its own could let the rule fork.
+
 A name with a leading underscore is private to its module. The few that
 other efhouse modules use are listed in `PRIVATE_CROSSINGS`; a new one
 fails here until it is listed, and deleting one needs no edit.
@@ -67,6 +71,42 @@ def refers_to_numpy_random(source: str) -> bool:
         and node.value.id in numpy_names
         for node in ast.walk(tree)
     )
+
+
+# (module, name) of each type that an integer test checks against
+INTEGER_TYPES = {("numpy", "integer"), ("numbers", "Integral")}
+
+
+def integer_type_tests(source: str) -> list[str]:
+    """Each reference of ``source`` to `numpy.integer` or `numbers.Integral`, by enclosing function.
+
+    A reference outside any function, and an import of either type by name,
+    counts as "<module>".
+    """
+    tree = ast.parse(source)
+    modules = {}  # local name -> the module of INTEGER_TYPES it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in {"numpy", "numbers"}:
+                    modules[alias.asname or alias.name] = alias.name
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if (modules.get(child.value.id), child.attr) in INTEGER_TYPES:
+                    found.append(where)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                if any((child.module, alias.name) in INTEGER_TYPES for alias in child.names):
+                    found.append("<module>")
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
 
 
 def is_private(name: str) -> bool:
@@ -137,6 +177,30 @@ def test_only_randmodel_draws_random_numbers():
 )
 def test_numpy_random_guard_sees_each_form(source, draws):
     assert refers_to_numpy_random(source) == draws
+
+
+def test_only_is_integer_tests_for_integer_types():
+    users = []
+    for path in SOURCES:
+        users += [(path.stem, name) for name in integer_type_tests(path.read_text(encoding="utf-8"))]
+    assert users == [("prefs", "is_integer")]
+
+
+@pytest.mark.parametrize(
+    "source, users",
+    [
+        ("import numpy as np\ndef f(v):\n    return isinstance(v, np.integer)", ["f"]),
+        ("import numpy\nINT = (int, numpy.integer)", ["<module>"]),
+        ("import numbers\nclass A:\n    def g(self, v):\n        return isinstance(v, numbers.Integral)", ["g"]),
+        ("import numpy as np\ndef f(v):\n    def g():\n        return np.integer\n    return np.integer", ["g", "f"]),
+        ("from numbers import Integral", ["<module>"]),
+        ("from numpy import integer as whole", ["<module>"]),
+        ("import numpy as np\ndef f(a):\n    return a.dtype.kind in 'iu' and np.int64", []),
+        ("from . import numbers\nnumbers.Integral", []),  # a relative module, not the standard one
+    ],
+)
+def test_integer_type_guard_sees_each_form(source, users):
+    assert integer_type_tests(source) == users
 
 
 def test_private_names_cross_modules_only_where_listed():

@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -190,6 +192,9 @@ def test_profile_accepts_negative_sparse_and_extreme_ranks():
     assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[1, 2]]
     boxed = PreferenceProfile(np.array([[np.int64(1), 2, np.uint64(WORST_RANK - 1)]], dtype=object))
     assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[1, 2, WORST_RANK - 1]]
+    rank = enum.IntEnum("Rank", "FIRST SECOND")
+    boxed = PreferenceProfile(np.array([[rank.SECOND, rank.FIRST]], dtype=object))
+    assert boxed.ranks.dtype == np.int64 and boxed.ranks.tolist() == [[2, 1]]
 
 
 def test_profile_copies_writeable_arrays_and_is_read_only():

@@ -434,6 +434,15 @@ def test_screened_out_profiles_have_no_envy_free_assignment(n, m):
     assert 0 < (contested > m - n).sum() < len(ranks)
 
 
+@pytest.mark.parametrize("k, n, m", [(1, 1, 1), (40, 20, 20), (4, 20, 180), (7, 5, 9)])
+def test_contested_tops_counts_each_matrix_of_a_chunk(k, n, m):
+    values = np.random.default_rng(k * n * m).random((k, n, m))
+    for chunk in (values, values.round(1)):  # rounded, many agents share a top
+        tops = chunk.argmax(axis=-1).tolist()
+        expected = [sum(count > 1 for count in Counter(row).values()) for row in tops]
+        assert randmodel._contested_tops(chunk).tolist() == expected
+
+
 def exact_existence_probability(n: int, m: int) -> Fraction:
     """The chance that uniform strict rankings admit an envy-free assignment.
 

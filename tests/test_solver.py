@@ -1,3 +1,4 @@
+import enum
 import gc
 import itertools
 import json
@@ -28,6 +29,7 @@ from efhouse.randmodel import sample_strict_profile
 from efhouse.solver import (
     Assignment,
     InvalidInstanceError,
+    SolveTrace,
     envy_free_assignment,
     result_json,
     verify_envy_free,
@@ -94,6 +96,70 @@ def test_verify_envy_free_rejects_house_ids_that_are_not_integers(house):
 
 def test_verify_envy_free_takes_numpy_integer_house_ids():
     assert verify_envy_free(GOLDEN, Assignment((np.int64(2), 3)))
+
+
+class Id(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def stored_ids(value) -> list:
+    """Every id a solve value holds, with each tuple and frozenset it holds them in checked."""
+    if isinstance(value, Assignment):
+        assert type(value.houses) is tuple
+        return list(value.houses)
+    if isinstance(value, BipartiteGraph):
+        assert type(value.adj) is tuple and all(type(row) is tuple for row in value.adj)
+        return [value.n_right, *itertools.chain(*value.adj)]
+    if isinstance(value, HallViolator):
+        assert type(value.vertices) is type(value.neighborhood) is frozenset
+        return [*value.vertices, *value.neighborhood]
+    assert type(value.violators) is tuple
+    held = [value.n_houses, *itertools.chain(*map(stored_ids, value.violators))]
+    return held + ([] if value.assignment is None else stored_ids(value.assignment))
+
+
+@pytest.mark.parametrize(
+    "loose, canonical",
+    [
+        (lambda: Assignment([np.int64(2), Id.THREE]), lambda: Assignment((2, 3))),
+        (lambda: Assignment(np.array([3, 1], dtype=np.uint8)), lambda: Assignment((3, 1))),
+        (
+            lambda: BipartiteGraph(np.int32(3), [[Id.ONE], np.array([2, 3]), []]),
+            lambda: BipartiteGraph(3, ((1,), (2, 3), ())),
+        ),
+        (
+            lambda: HallViolator({np.int64(1), Id.TWO}, [np.uint16(3)]),
+            lambda: HallViolator(frozenset({1, 2}), frozenset({3})),
+        ),
+        (
+            lambda: SolveTrace(Id.THREE, [HallViolator({np.int8(1), Id.TWO}, {Id.THREE})], None),
+            lambda: SolveTrace(3, (HallViolator(frozenset({1, 2}), frozenset({3})),), None),
+        ),
+        (
+            lambda: SolveTrace(np.int64(3), iter([]), Assignment([Id.TWO, np.int64(3)])),
+            lambda: SolveTrace(3, (), Assignment((2, 3))),
+        ),
+    ],
+    ids=["Assignment-list", "Assignment-array", "BipartiteGraph", "HallViolator", "SolveTrace-none", "SolveTrace-found"],
+)
+def test_solve_values_store_one_form_of_integer_ids(loose, canonical):
+    value, expected = loose(), canonical()
+    assert value == expected and hash(value) == hash(expected)
+    held = stored_ids(value)
+    assert held == stored_ids(expected) and all(type(v) is int for v in held)
+
+
+@pytest.mark.parametrize("house", [1.5, 3.0, True, np.True_, "2"], ids=["1.5", "3.0", "True", "np.True_", "'2'"])
+def test_assignment_rejects_house_ids_that_are_not_integers(house):
+    with pytest.raises(ValueError, match="^house ids must be integers"):
+        Assignment((house, 2))
+
+
+def test_violator_checks_each_id_before_its_set_merges_them():
+    with pytest.raises(ValueError, match="^violator vertices must be integers"):
+        HallViolator([1, True, 2], [3])  # a frozenset would merge True into 1
 
 
 def test_assignment_rejects_duplicates():
