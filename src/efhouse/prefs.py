@@ -212,6 +212,7 @@ _BYTE_KIND[ord("0") : ord("9") + 1] = range(10)
 _BYTE_KIND[ord(">")] = _GT
 _BYTE_KIND[ord("=")] = _EQ
 _BYTE_KIND[ord(" ")] = _BYTE_KIND[ord("\t")] = _BYTE_KIND[ord("\n")] = _BLANK
+_FOREIGN, _TIE = bytes([_OTHER]), bytes([_EQ])  # kinds sought in a translated block
 _BLOCK_TOKENS = 1 << 12  # bounds the temporaries of one block of rows
 
 
@@ -241,39 +242,47 @@ def _parse_plain(text: str) -> PreferenceProfile | None:
     for first in range(0, n, step):
         ends = line_end[first : first + step]
         lo = line_end[first - 1] + 1 if first else header.end()
-        kind = np.frombuffer(text[lo : ends[-1]].encode("ascii").translate(_BYTE_KIND), np.uint8)
-        if not _plain_rows(kind, np.array(ends[:-1], dtype=np.intp) - lo, ranks[first : first + step]):
+        block = f" {text[lo : ends[-1]]} ".encode("ascii").translate(_BYTE_KIND)
+        # the blank before the block shifts every break one byte on
+        breaks = np.array(ends[:-1], dtype=np.intp) - (lo - 1)
+        if not _plain_rows(block, breaks, ranks[first : first + step]):
             return None
     return PreferenceProfile(ranks)
 
 
-def _plain_rows(kind: np.ndarray, breaks: np.ndarray, out: np.ndarray) -> bool:
-    """Write into ``out`` the rank rows of ranking lines given by byte kind and split at ``breaks``.
+def _plain_rows(block: bytes, breaks: np.ndarray, out: np.ndarray) -> bool:
+    """Write into ``out`` the rank rows of the ranking lines in ``block``.
 
-    False if any line is off, leaving ``out`` partly written.
+    ``block`` holds the lines' byte kinds (`_BYTE_KIND`) with one blank
+    added at each end, and ``breaks`` the offsets of the newlines between
+    them. Every id is a run of digits, found from one scan of the flips
+    between digits and other bytes; each line must read id sep id ... sep
+    id, which is checked by position: the k (m - 1) separators, one to a
+    gap between neighbouring ids of one line. False if any line is off,
+    leaving ``out`` partly written.
     """
     k, m = out.shape
-    if not (kind < _OTHER).all():
+    if _FOREIGN in block:
         return False
-    is_digit = kind < _GT
-    is_sep = (kind < _BLANK) ^ is_digit
-    if np.count_nonzero(is_sep) != k * (m - 1):
+    kind = np.frombuffer(block, np.uint8)
+    # the padding makes the flips alternate: before a first digit, at a last one
+    flips = np.flatnonzero(np.diff(kind < _GT))
+    if len(flips) != 2 * k * m:
         return False
-    first = is_digit.copy()
-    first[1:] &= ~is_digit[:-1]
-    # id starts and separators in text order: every line must read
-    # id sep id ... sep id, so no two ids meet across bare whitespace
-    items = np.flatnonzero(first | is_sep)
-    if len(items) != k * (2 * m - 1):
+    starts = flips[0::2] + 1  # first digit of each id
+    stops = flips[1::2]  # last digit of each id
+    seps = np.flatnonzero((kind == _GT) | (kind == _EQ))
+    if len(seps) != k * (m - 1):
         return False
-    grid = items.reshape(k, 2 * m - 1)
-    seps = grid[:, 1::2]
-    if not is_sep[seps].all() or (grid[1:, 0] < breaks).any() or (grid[:-1, -1] > breaks).any():
+    gaps = seps.reshape(k, m - 1)
+    if (
+        (gaps < stops.reshape(k, m)[:, :-1]).any()
+        or (gaps > starts.reshape(k, m)[:, 1:]).any()
+        or (starts[m::m] < breaks).any()
+        or (stops[m - 1 : -1 : m] > breaks).any()
+    ):
         return False
-    last = is_digit.copy()
-    last[:-1] &= ~is_digit[1:]
-    stops = np.flatnonzero(last)  # last digit of each id
-    lead = stops - grid[:, 0::2].ravel()  # digits before the last
+    lead = stops - starts  # digits before the last
     places = len(str(m))
     if lead.max() >= places:
         return False  # leading zeros are left to the line parser
@@ -285,11 +294,13 @@ def _plain_rows(kind: np.ndarray, breaks: np.ndarray, out: np.ndarray) -> bool:
     if ids.min() < 1 or ids.max() > m:
         return False
     # a tie group ranks every member at the 1-based slot of its first member;
-    # a group opens at each row start and after each `>` (the kind below `=`)
-    slot = np.empty((k, m), np.intp)
-    slot[:, 0] = 1
-    np.multiply(kind[seps] < _EQ, np.arange(2, m + 1), out=slot[:, 1:])
-    np.maximum.accumulate(slot, axis=1, out=slot)
+    # a group opens at each row start and after each `>`
+    slot = np.arange(1, m + 1)
+    if _TIE in block:
+        opens = np.ones((k, m), bool)
+        opens[:, 1:] = kind[gaps] == _GT
+        at = np.flatnonzero(opens)
+        slot = np.repeat(at % m + 1, np.diff(at, append=k * m)).reshape(k, m)
     ranks = out.reshape(-1)  # a view: the block's rows are contiguous
     ranks[:] = 0
     ranks[ids.reshape(k, m) + np.arange(-1, k * m - 1, m)[:, None]] = slot

@@ -148,6 +148,11 @@ def solve_passes(
     ranks best: the adjacency of the pass's favorites graph. The result is
     that graph's `violator_or_matching`. Raises InvalidInstanceError, on the
     first pass, when the profile has fewer houses than agents.
+
+    A pass that finds a violator masks each house of its neighborhood by
+    writing `WORST_RANK` into that house's column, one column view at a
+    time; the rows whose best rank sat in such a column are the stale ones,
+    and only they are rescanned for the next pass.
     """
     n, m = profile.n_agents, profile.n_houses
     require_enough_houses(n, m)
@@ -170,10 +175,13 @@ def solve_passes(
         left -= len(removed)
         if left < n:
             return
-        columns = np.fromiter(removed, np.intp, len(removed)) - 1
         # a row that lost no favorite keeps its best rank, hence its members
-        stale = np.flatnonzero((masked[:, columns] == best[:, None]).any(axis=1))
-        masked[:, columns] = WORST_RANK
+        lost = np.zeros(n, bool)
+        for house in removed:
+            column = masked[:, house - 1]  # a view: the mask writes through
+            lost |= column == best
+            column[...] = WORST_RANK
+        stale = lost.nonzero()[0]
 
 
 _BLOCK_CELLS = 1 << 13  # bounds the copy of one block of stale rows

@@ -13,11 +13,12 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import random_strict_profile, random_tie_profile, tiered_profile
 from efhouse import prefs
-from efhouse.prefs import ProfileError, _parse_lines, format_profile, parse_profile
+from efhouse.prefs import PreferenceProfile, ProfileError, _parse_lines, format_profile, parse_profile
 
 FUZZ_SEED = 20190502
 FUZZ_CASES = 3000
@@ -176,6 +177,32 @@ def no_fallback(monkeypatch):
 def test_bench_sized_files_round_trip_without_fallback(n, m, tier, no_fallback):
     profile = tiered_profile(n, m, tier, seed=n + m)
     assert parse_profile(format_profile(profile)) == profile
+
+
+@pytest.mark.parametrize(
+    "rows_per_block, tied_blocks",
+    [(6, [False, False, True, True]), (9, [False, True, True])],
+    ids=["one-kind-blocks", "mixed-block"],
+)
+def test_strict_and_tied_rows_parse_in_one_file(rows_per_block, tied_blocks, no_fallback, monkeypatch):
+    # 12 strict rows, then 12 rows with ties: 6-row blocks each hold one kind,
+    # and the middle 9-row block holds both, so strict rows take tie slots too
+    m = 10
+    strict = random_strict_profile(random.Random(12), 12, m)
+    tied = tiered_profile(12, m, 3, seed=12)
+    profile = PreferenceProfile(np.vstack([strict.ranks, tied.ranks]))
+    text = format_profile(profile)
+    seen = []
+    plain_rows = prefs._plain_rows
+
+    def recorded(block, breaks, out):
+        seen.append(prefs._TIE in block)
+        return plain_rows(block, breaks, out)
+
+    monkeypatch.setattr(prefs, "_plain_rows", recorded)
+    monkeypatch.setattr(prefs, "_BLOCK_TOKENS", rows_per_block * m)
+    assert parse_profile(text) == _parse_lines(text) == profile
+    assert seen == tied_blocks
 
 
 def retained_bytes(parse, text: str) -> int:

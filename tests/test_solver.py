@@ -393,6 +393,51 @@ def test_block_size_does_not_change_the_trace(wide_solve, rows_per_block, monkey
     assert [rows for rows, _ in solver.solve_passes(profile)] == expected
 
 
+def assert_rescans_only_rows_that_lost_a_favorite(profile, monkeypatch) -> int:
+    """Each pass after the first rescans exactly the rows whose favorites the last pass removed.
+
+    The freshness checks pass when too many rows are rescanned; this one
+    does not. Returns how many rescanned rows kept some favorite.
+    """
+    scans = []
+    favorites = solver._favorites
+
+    def recorded(masked, stale, *rest):
+        scans.append(set(stale.tolist()))
+        favorites(masked, stale, *rest)
+
+    monkeypatch.setattr(solver, "_favorites", recorded)
+    passes = list(solver.solve_passes(profile))
+    assert len(scans) == len(passes) and scans[0] == set(range(profile.n_agents))
+    partial = 0
+    for (rows, found), stale in zip(passes, scans[1:]):
+        removed = found.neighborhood
+        assert stale == {i for i, row in enumerate(rows) if not removed.isdisjoint(row)}
+        partial += sum(not removed.issuperset(rows[i]) for i in stale)
+    return partial
+
+
+def test_strict_passes_rescan_only_rows_that_lost_their_favorite(monkeypatch):
+    profile = tiered_profile(100, 200, 1, seed=300)
+    assert assert_rescans_only_rows_that_lost_a_favorite(profile, monkeypatch) == 0
+    violators = envy_free_assignment(profile)[1].violators
+    assert len(violators) == 101 and all(len(v.neighborhood) == 1 for v in violators)
+
+
+def test_tie_tier_passes_rescan_only_rows_that_lost_a_favorite(monkeypatch):
+    # tiers of 50: the first passes remove 39-70 houses each, some stale rows
+    # keep a favorite, and the one-house passes after them leave rows fresh
+    profile = tiered_profile(200, 400, 50, seed=2, popularity=0.9)
+    assert assert_rescans_only_rows_that_lost_a_favorite(profile, monkeypatch) > 0
+    removed = [len(v.neighborhood) for v in envy_free_assignment(profile)[1].violators]
+    assert max(removed) > 50 and min(removed) == 1
+
+
+def test_wide_passes_rescan_only_rows_that_lost_a_favorite(wide_solve, monkeypatch):
+    profile, _ = wide_solve
+    assert_rescans_only_rows_that_lost_a_favorite(profile, monkeypatch)
+
+
 BLOCK_SIZES = pytest.mark.parametrize("rows_per_block", [1, 7, None], ids=["1", "7", "default"])
 
 
