@@ -125,13 +125,13 @@ def _print_text_result(trace, show_trace: bool) -> None:
     else:
         print("no envy-free assignment exists")
     if show_trace:
-        for index, step in enumerate(solver._trace_steps(trace), start=1):
-            print(f"iteration {index}: houses {{{' '.join(map(str, step['houses']))}}}")
-            if step["saturating"]:
+        for index, (houses, violator) in enumerate(trace.passes(), start=1):
+            print(f"iteration {index}: houses {{{' '.join(map(str, houses))}}}")
+            if violator is None:
                 print("  saturating matching found")
             else:
-                agents = " ".join(map(str, step["violator"]["agents"]))
-                removed = " ".join(map(str, step["removed"]))
+                agents = " ".join(map(str, sorted(violator.vertices)))
+                removed = " ".join(map(str, sorted(violator.neighborhood)))
                 print(f"  deficient agents {{{agents}}} force removal of houses {{{removed}}}")
 
 

@@ -350,7 +350,7 @@ def estimate_existence_probability(
     chunk = max(1, _CHUNK_CELLS // (n * m))
     try:
         buffer = np.empty((min(chunk, trials), n, m))
-    except ValueError:  # the shape outgrows numpy's size arithmetic
+    except (ValueError, MemoryError):  # the size overflows numpy's arithmetic, or the allocation fails
         raise MemoryError(f"cannot hold the utilities of {n} agents and {m} houses") from None
     generator = np.random.Generator(np.random.PCG64(0))
     states = _trial_states(seed, 0, trials)

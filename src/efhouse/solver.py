@@ -66,6 +66,7 @@ class IterationRecord(NamedTuple):
     ascending list the caller owns. ``violator`` is what
     `violator_or_matching` found in the pass's favorites graph, whose
     neighborhood the pass removed, or None on the final, saturating pass.
+    Both trace formats are written from these records alone.
     """
 
     available: list[int]
@@ -95,7 +96,9 @@ class SolveTrace:
         """Each pass as an `IterationRecord`, its houses in a fresh list.
 
         The caller owns each list: changing one leaves the passes after it
-        as they were.
+        as they were. This is the one walk behind both trace formats:
+        `result_json` lists an entry per record, and ``solve --format text
+        --trace`` prints each record as it is yielded.
         """
         houses = list(range(1, self.n_houses + 1))
         for violator in self.violators:
@@ -270,27 +273,21 @@ def result_json(trace: SolveTrace, include_trace: bool = True) -> dict[str, Any]
     """JSON-ready dict in the documented wire format.
 
     ``{"status": "found"|"none", "assignment": {agent: house, ...} | null,
-    "trace": [...] | null}`` with agents as string keys and the trace listing
-    each iteration's house set, saturation flag, violator, and removals.
+    "trace": [...] | null}`` with agents as string keys and one trace entry
+    per record of `trace.passes()`: its houses, saturation flag, violator
+    (agents and neighborhood, each sorted) and removed houses.
     """
     found = trace.assignment is not None
-    return {
-        "status": "found" if found else "none",
-        "assignment": {str(a): h for a, h in trace.assignment.mapping().items()} if found else None,
-        "trace": list(_trace_steps(trace)) if include_trace else None,
-    }
-
-
-def _trace_steps(trace: SolveTrace) -> Iterator[dict[str, Any]]:
-    """Each pass of ``trace`` as its wire-format trace entry, in order.
-
-    `result_json` lists the entries; the text trace prints each as it is
-    yielded, so it holds one pass at a time.
-    """
-    for houses, violator in trace.passes():
+    steps = [] if include_trace else None
+    for houses, violator in trace.passes() if include_trace else ():
         if violator is None:
-            yield {"houses": houses, "saturating": True, "violator": None, "removed": []}
+            steps.append({"houses": houses, "saturating": True, "violator": None, "removed": []})
             continue
         removed = sorted(violator.neighborhood)  # one list, under both keys
         violator_entry = {"agents": sorted(violator.vertices), "houses": removed}
-        yield {"houses": houses, "saturating": False, "violator": violator_entry, "removed": removed}
+        steps.append({"houses": houses, "saturating": False, "violator": violator_entry, "removed": removed})
+    return {
+        "status": "found" if found else "none",
+        "assignment": {str(a): h for a, h in trace.assignment.mapping().items()} if found else None,
+        "trace": steps,
+    }

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,47 @@ def solve_json(profile: PreferenceProfile) -> str:
     """The solve JSON of ``profile``, trace included, as `result_json` writes it."""
     _, trace = envy_free_assignment(profile)
     return json.dumps(result_json(trace, include_trace=True))
+
+
+_ASSIGNED = re.compile(r"agent (\d+) -> house (\d+)")
+_ITERATION = re.compile(r"iteration (\d+): houses \{([\d ]*)\}")
+_DEFICIENT = re.compile(r"  deficient agents \{([\d ]*)\} force removal of houses \{([\d ]*)\}")
+
+
+def text_result_as_json(text: str) -> dict:
+    """Parse `solve --format text --trace` stdout into the payload `solve --trace` prints as JSON.
+
+    Every line must match its expected form whole, and the passes must be
+    numbered 1, 2, ... in order. The text names each pass's removed houses
+    once; the payload lists them under both of the JSON's keys, as
+    `result_json` does.
+    """
+    lines = text.splitlines()
+    if lines[:1] == ["no envy-free assignment exists"]:
+        payload = {"status": "none", "assignment": None, "trace": []}
+        lines = lines[1:]
+    else:
+        payload = {"status": "found", "assignment": {}, "trace": []}
+        while lines and (assigned := _ASSIGNED.fullmatch(lines[0])):
+            payload["assignment"][assigned[1]] = int(assigned[2])
+            lines = lines[1:]
+        assert payload["assignment"], "neither assignment lines nor a nonexistence line"
+    assert len(lines) % 2 == 0, "a pass without its outcome line"
+    for header, outcome in zip(lines[::2], lines[1::2]):
+        index, houses = _ITERATION.fullmatch(header).groups()
+        assert int(index) == len(payload["trace"]) + 1
+        entry = {"houses": _ids(houses)}
+        if outcome == "  saturating matching found":
+            entry.update(saturating=True, violator=None, removed=[])
+        else:
+            agents, removed = map(_ids, _DEFICIENT.fullmatch(outcome).groups())
+            entry.update(saturating=False, violator={"agents": agents, "houses": removed}, removed=removed)
+        payload["trace"].append(entry)
+    return payload
+
+
+def _ids(field: str) -> list[int]:
+    return [int(i) for i in field.split()]
 
 
 def efhouse_command(*argv, module: str = "efhouse"):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import efhouse_command
+from conftest import efhouse_command, text_result_as_json
 from efhouse import cli, oracle, randmodel, solver
 from efhouse.prefs import parse_profile
 from efhouse.solver import Assignment, verify_envy_free
@@ -92,6 +92,14 @@ def test_solve_output_format(tmp_path, capsys, instance, fmt, trace):
     flags = ["--format", fmt] + ["--trace"] * trace
     expected = (INSTANCES[instance][1], SOLVE_STDOUT[instance, fmt, trace], "")
     assert solve_instance(tmp_path, capsys, instance, *flags) == expected
+
+
+@pytest.mark.parametrize("instance", ["found", "none"])
+def test_text_trace_reads_back_as_the_json_trace(tmp_path, capsys, instance):
+    json_code, out, _ = solve_instance(tmp_path, capsys, instance, "--trace")
+    text_code, text, _ = solve_instance(tmp_path, capsys, instance, "--format", "text", "--trace")
+    assert text_code == json_code
+    assert text_result_as_json(text) == json.loads(out)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -375,6 +383,12 @@ def test_simulate_rejects_bad_parameters(argv, capsys):
         (
             ["--n", "10000000000", "--m", "3nlogn"],
             "error: cannot hold the utilities of 10000000000 agents and 690775527899 houses\n",
+        ),
+        # 2.4e17 bytes: under numpy's 2**63 size limit, so numpy tries the allocation,
+        # and past any 57-bit address space, so it is refused without touching memory
+        (
+            ["--n", "3", "--m", "10000000000000000"],
+            "error: cannot hold the utilities of 3 agents and 10000000000000000 houses\n",
         ),
         (["--n", "3", "--sweep", ""], "error: --sweep expects m1:m2:step\n"),
         (["--n", "3", "--m", ""], "error: --m must be an integer or `3nlogn`, got ''\n"),

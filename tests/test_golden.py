@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_strict_profile, random_tie_profile, solve_json
+from conftest import random_strict_profile, random_tie_profile, solve_json, text_result_as_json
 from efhouse import cli
 from efhouse.prefs import format_profile
 from efhouse.randmodel import sample_strict_profile
@@ -157,6 +157,13 @@ def test_large_digraph_dumps_reproduce_byte_for_byte(corpus, seed, n, ties):
 @pytest.mark.parametrize("seed, n, ties", LARGE)
 def test_large_text_traces_reproduce_byte_for_byte(seed, n, ties):
     assert text_trace_digest(seed, n, ties) == TEXT_TRACE_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed, n, ties", LARGE)
+def test_large_text_traces_read_back_as_the_json_traces(seed, n, ties):
+    text, _ = large_solve_output(seed, n, ties, "--format", "text", "--trace")
+    out, _ = large_solve_output(seed, n, ties, "--trace")
+    assert text_result_as_json(text) == json.loads(out)
 
 
 @pytest.mark.parametrize("n, m, seed", STRICT_SAMPLES)

@@ -33,7 +33,6 @@ SOURCES = sorted((ROOT / "src" / "efhouse").glob("*.py"))
 # imports from, or reads on, another
 PRIVATE_CROSSINGS = {
     ("solver", "bigraph._violator_or_matching"),
-    ("cli", "solver._trace_steps"),
 }
 
 
